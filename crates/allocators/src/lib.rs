@@ -20,6 +20,15 @@
 //! | [`GnuLocal`] | `GNU LOCAL` | Haertel: page chunks, localized chunk headers, no per-object tags |
 //! | [`QuickFit`] | `QUICKFIT` | Weinstock & Wulf: exact-size fast lists (4–32 B) over a general allocator |
 //! | [`Custom`] | §4.4 design | Profile-driven size classes, chunked, tag-free (the paper's recommendation) |
+//! | [`BestFit`] | — | Best fit over the FIRSTFIT block layout |
+//! | [`Buddy`] | — | Binary buddy system (Standish's third category, §2.1) |
+//! | [`Predictive`] | §5.1 future work | Call-site lifetime prediction over two chunked pools |
+//!
+//! Each policy has exactly one implementation, pinned by the committed
+//! golden digests of the repository's `tests/golden_digests.rs`. FIRSTFIT
+//! alone serves its long roving freelist walk from host-side shadow state
+//! ([`shadow`]), because that is the one search where the host time goes;
+//! its plain port stays in [`mod@reference`] as the test oracle.
 //!
 //! # Example
 //!

@@ -1,44 +1,25 @@
-//! Verbatim ports of the pre-rework allocator implementations.
+//! The verbatim port of FIRSTFIT from before its shadow-engine rebuild,
+//! kept as the test oracle for the one allocator that still has two
+//! implementations.
 //!
-//! Every allocator in the crate root was rebuilt around host-side shadow
-//! state ([`crate::shadow`]): free-list walks iterate a compact slab
-//! instead of chasing pointers through the multi-megabyte heap image,
-//! metadata loads are served from mirrors and emitted with
-//! [`sim_mem::MemCtx::shadow_load`], and instruction charges are batched
-//! per operation. These modules preserve the originals — same heap
-//! layout, same traced reference sequence, same instruction charges,
-//! same statistics — so the rework can be regression-gated forever:
+//! [`crate::FirstFit`] serves its roving freelist walk from host-side
+//! shadow state ([`crate::shadow`]): a cache-dense slab instead of
+//! pointer chasing through the multi-megabyte heap image, a size-class
+//! occupancy bitmap, and bulk replay of the walk's loads. That pays on
+//! the long sequential-fit search, so FirstFit keeps it. This module
+//! preserves the original — same heap layout, same traced reference
+//! sequence, same instruction charges, same statistics — so the rebuild
+//! stays regression-gated:
 //!
-//! * `perf --alloc` drives one captured workload through each rebuilt
-//!   allocator *and* its port here, requires bit-identical reference
-//!   streams, stats, heap images and `alloc.search_len` histograms, and
-//!   gates the slowest lane's speedup;
+//! * `perf --alloc` drives one captured workload through both and
+//!   requires bit-identical reference streams, stats, heap images and
+//!   `alloc.search_len` histograms, then gates the speedup;
 //! * the `reference_equivalence` property tests do the same over
-//!   randomized alloc/free scripts.
+//!   randomized and deterministic alloc/free scripts.
 //!
-//! The only edits relative to the originals are module paths: ports that
-//! embed another allocator ([`quick_fit`] embeds GNU G++, the pool
-//! allocators embed [`chunked`]) embed the *port*, never the rebuilt
-//! version, so a lane measures exactly one implementation generation.
+//! Every other policy has exactly one implementation, pinned by the
+//! committed digests of `tests/golden_digests.rs`.
 
-pub mod best_fit;
-pub mod bsd;
-pub mod buddy;
-pub mod chunked;
-pub mod custom;
 pub mod first_fit;
-pub mod gnu_gxx;
-pub mod gnu_local;
-pub mod predictive;
-pub mod quick_fit;
 
-pub use best_fit::BestFit;
-pub use bsd::Bsd;
-pub use buddy::Buddy;
-pub use chunked::ChunkedHeap;
-pub use custom::Custom;
 pub use first_fit::FirstFit;
-pub use gnu_gxx::GnuGxx;
-pub use gnu_local::GnuLocal;
-pub use predictive::Predictive;
-pub use quick_fit::QuickFit;

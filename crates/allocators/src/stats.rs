@@ -77,17 +77,6 @@ impl AllocStats {
             self.requested_bytes as f64 / self.mallocs as f64
         }
     }
-
-    /// Folds an embedded general allocator's search/coalesce/split
-    /// counters into this record, so a hybrid's `stats()` reflects the
-    /// whole allocator (QuickFit embedding GNU G++, for example). The
-    /// delegate is the sole source of these counters, so the fold is an
-    /// overwrite, not an accumulation.
-    pub fn absorb_general_counters(&mut self, general: &AllocStats) {
-        self.search_visits = general.search_visits;
-        self.coalesces = general.coalesces;
-        self.splits = general.splits;
-    }
 }
 
 #[cfg(test)]

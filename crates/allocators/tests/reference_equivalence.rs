@@ -1,9 +1,10 @@
-//! Every rebuilt allocator must be observationally identical to its
+//! FIRSTFIT's shadow engine must be observationally identical to its
 //! verbatim pre-rework port in `allocators::reference`.
 //!
-//! The rework (host-side shadow state, bitmap fit, O(1) unlink) is a
-//! pure host-speed change: for any alloc/free script, the rebuilt
-//! allocator and its reference port must produce
+//! FIRSTFIT is the one policy with two implementations: its shadow
+//! engine (host-side word mirror, occupancy bitmap, slab freelist, burst
+//! replay) is a pure host-speed change, so for any alloc/free script the
+//! engine and its reference port must produce
 //!
 //! * the identical emitted reference stream, *including* run-length
 //!   boundaries (RLE merging and the 4096-ref flush cut-points are
@@ -12,27 +13,27 @@
 //! * identical granted addresses and [`allocators::AllocStats`],
 //! * identical per-phase instruction totals,
 //! * identical recorder metrics for everything the reference also
-//!   records (the rebuilt fast paths may add *new* counters —
-//!   `alloc.bitmap_probe`, `alloc.quick_hit`, `alloc.boundary_coalesce`
-//!   — which are filtered out before comparing).
+//!   records (the engine adds two *new* counters — `alloc.bitmap_probe`
+//!   and `alloc.boundary_coalesce` — which are filtered out before
+//!   comparing).
 //!
 //! Randomized scripts cover the general interleavings; the deterministic
 //! cases pin size-class boundaries and coalesce cascades, where an
 //! off-by-one in class indexing or merge order would hide from uniform
-//! random sizes.
+//! random sizes. Every other policy has a single implementation, pinned
+//! by the repository's golden digests instead.
 
 use std::collections::BTreeMap;
 
 use proptest::prelude::*;
 
-use allocators::{reference, Allocator, SizeProfile};
+use allocators::{reference, Allocator};
 use obs::MemoryRecorder;
 use sim_mem::{AccessSink, Address, HeapImage, InstrCounter, MemCtx, MemRef, Phase, RefRun};
 
-/// Counters that only the rebuilt fast paths emit; ignored when
-/// comparing recorder state against the reference port.
-const NEW_COUNTERS: [&str; 3] =
-    ["alloc.bitmap_probe", "alloc.quick_hit", "alloc.boundary_coalesce"];
+/// Counters that only the shadow engine emits; ignored when comparing
+/// recorder state against the reference port.
+const NEW_COUNTERS: [&str; 2] = [obs::names::BITMAP_PROBE, obs::names::BOUNDARY_COALESCE];
 
 /// Captures the stream exactly as delivered: run boundaries included.
 #[derive(Default)]
@@ -152,48 +153,17 @@ fn assert_equivalent(label: &str, new: &Observation, reference: &Observation) {
     assert_eq!(new.histograms, reference.histograms, "{label}: recorder histograms diverge");
 }
 
-/// The profile both `Custom` variants are built from.
-fn profile() -> SizeProfile {
-    [8u32, 16, 24, 40, 100, 8, 16, 16, 24].into_iter().collect()
-}
-
-/// Runs one script through a (new, reference) allocator pair by name.
-fn check_pair(kind: &str, ops: &[Op]) {
-    let new = |ops: &[Op]| match kind {
-        "first_fit" => observe(|ctx| Box::new(allocators::FirstFit::new(ctx).unwrap()), ops),
-        "best_fit" => observe(|ctx| Box::new(allocators::BestFit::new(ctx).unwrap()), ops),
-        "bsd" => observe(|ctx| Box::new(allocators::Bsd::new(ctx).unwrap()), ops),
-        "buddy" => observe(|ctx| Box::new(allocators::Buddy::new(ctx).unwrap()), ops),
-        "gnu_gxx" => observe(|ctx| Box::new(allocators::GnuGxx::new(ctx).unwrap()), ops),
-        "gnu_local" => observe(|ctx| Box::new(allocators::GnuLocal::new(ctx).unwrap()), ops),
-        "quick_fit" => observe(|ctx| Box::new(allocators::QuickFit::new(ctx).unwrap()), ops),
-        "custom" => {
-            observe(|ctx| Box::new(allocators::Custom::from_profile(ctx, &profile()).unwrap()), ops)
-        }
-        "predictive" => observe(|ctx| Box::new(allocators::Predictive::new(ctx).unwrap()), ops),
-        _ => unreachable!("unknown allocator {kind}"),
-    };
-    let old = |ops: &[Op]| match kind {
-        "first_fit" => observe(|ctx| Box::new(reference::FirstFit::new(ctx).unwrap()), ops),
-        "best_fit" => observe(|ctx| Box::new(reference::BestFit::new(ctx).unwrap()), ops),
-        "bsd" => observe(|ctx| Box::new(reference::Bsd::new(ctx).unwrap()), ops),
-        "buddy" => observe(|ctx| Box::new(reference::Buddy::new(ctx).unwrap()), ops),
-        "gnu_gxx" => observe(|ctx| Box::new(reference::GnuGxx::new(ctx).unwrap()), ops),
-        "gnu_local" => observe(|ctx| Box::new(reference::GnuLocal::new(ctx).unwrap()), ops),
-        "quick_fit" => observe(|ctx| Box::new(reference::QuickFit::new(ctx).unwrap()), ops),
-        "custom" => {
-            observe(|ctx| Box::new(reference::Custom::from_profile(ctx, &profile()).unwrap()), ops)
-        }
-        "predictive" => observe(|ctx| Box::new(reference::Predictive::new(ctx).unwrap()), ops),
-        _ => unreachable!("unknown allocator {kind}"),
-    };
-    assert_equivalent(kind, &new(ops), &old(ops));
+/// Runs one script through the (engine, reference) FIRSTFIT pair.
+fn check_pair(ops: &[Op]) {
+    let new = observe(|ctx| Box::new(allocators::FirstFit::new(ctx).unwrap()), ops);
+    let old = observe(|ctx| Box::new(reference::FirstFit::new(ctx).unwrap()), ops);
+    assert_equivalent("first_fit", &new, &old);
 }
 
 fn op_strategy(max_size: u32) -> impl Strategy<Value = Op> {
     prop_oneof![
         3 => ((1u32..=max_size), (0u32..64)).prop_map(|(s, site)| Op::Malloc(s, site)),
-        // Tiny and exact-popular sizes, to keep quicklists and size maps hot.
+        // Tiny and popular sizes, so freed blocks are recycled often.
         2 => (prop_oneof![Just(8u32), Just(16), Just(24), Just(40)], (0u32..64))
             .prop_map(|(s, site)| Op::Malloc(s, site)),
         3 => any::<proptest::sample::Index>().prop_map(|i| Op::Free(i.index(1 << 16))),
@@ -204,35 +174,18 @@ fn ops_strategy(max_size: u32) -> impl Strategy<Value = Vec<Op>> {
     proptest::collection::vec(op_strategy(max_size), 1..250)
 }
 
-macro_rules! equivalence_tests {
-    ($($name:ident => ($kind:literal, $max:expr);)*) => {
-        $(
-            proptest! {
-                #![proptest_config(ProptestConfig::with_cases(32))]
-                #[test]
-                fn $name(ops in ops_strategy($max)) {
-                    check_pair($kind, &ops);
-                }
-            }
-        )*
-    };
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+    #[test]
+    fn first_fit_matches_reference(ops in ops_strategy(2000)) {
+        check_pair(&ops);
+    }
 }
 
-equivalence_tests! {
-    first_fit_matches_reference => ("first_fit", 2000);
-    best_fit_matches_reference => ("best_fit", 2000);
-    bsd_matches_reference => ("bsd", 4096);
-    buddy_matches_reference => ("buddy", 4096);
-    gnu_gxx_matches_reference => ("gnu_gxx", 2000);
-    gnu_local_matches_reference => ("gnu_local", 4096);
-    quick_fit_matches_reference => ("quick_fit", 2000);
-    custom_matches_reference => ("custom", 4096);
-    predictive_matches_reference => ("predictive", 2000);
-}
-
-/// Sizes straddling every class boundary the allocators key on: the
-/// word size, quicklist FAST_MAX (32), power-of-two bin edges, the
-/// chunked FRAG_MAX / SizeMap MAP_MAX (2048), and the BSD page.
+/// Sizes straddling every class boundary the allocators key on (the
+/// golden-digest scripts reuse this ladder): the word size, quicklist
+/// FAST_MAX (32), power-of-two bin edges, the chunked FRAG_MAX /
+/// SizeMap MAP_MAX (2048), and the BSD page.
 const BOUNDARY_SIZES: [u32; 24] = [
     1, 3, 4, 5, 7, 8, 9, 15, 16, 17, 24, 31, 32, 33, 63, 64, 65, 127, 128, 129, 2047, 2048, 2049,
     4096,
@@ -256,19 +209,7 @@ fn size_class_boundaries_match_reference() {
     for (i, &s) in BOUNDARY_SIZES.iter().enumerate() {
         ops.push(Op::Malloc(s, (i % 64) as u32));
     }
-    for kind in [
-        "first_fit",
-        "best_fit",
-        "bsd",
-        "buddy",
-        "gnu_gxx",
-        "gnu_local",
-        "quick_fit",
-        "custom",
-        "predictive",
-    ] {
-        check_pair(kind, &ops);
-    }
+    check_pair(&ops);
 }
 
 #[test]
@@ -290,9 +231,7 @@ fn coalesce_cascades_match_reference() {
         ops.push(Op::Free(usize::MAX));
     }
     ops.push(Op::Malloc(48 * 12, 0));
-    for kind in ["first_fit", "best_fit", "gnu_gxx", "buddy"] {
-        check_pair(kind, &ops);
-    }
+    check_pair(&ops);
 }
 
 #[test]
@@ -306,7 +245,5 @@ fn flush_boundary_runs_match_reference() {
             ops.push(Op::Free(0));
         }
     }
-    for kind in ["first_fit", "bsd", "quick_fit", "gnu_local"] {
-        check_pair(kind, &ops);
-    }
+    check_pair(&ops);
 }

@@ -95,6 +95,25 @@ fn a_full_queue_answers_429_backpressure() {
 }
 
 #[test]
+fn deeply_nested_json_is_a_400_and_the_daemon_survives() {
+    // 60 000 unclosed brackets fit the 64 KB body limit; an unbounded
+    // recursive-descent parser overflows a connection thread's stack on
+    // them and aborts the whole process.
+    let (server, client) = start(ServerConfig::default());
+    let body = "[".repeat(60_000);
+    for path in ["/jobs", "/sweeps"] {
+        let response = client.request("POST", path, Some(&body)).unwrap();
+        assert_eq!(response.status, 400, "{path}");
+        let err: serve::ErrorResponse = response.json().unwrap();
+        assert_eq!(err.error, "malformed", "{path}");
+        assert!(err.detail.contains("nesting"), "{path}: {}", err.detail);
+    }
+    let response = client.request("GET", "/healthz", None).unwrap();
+    assert_eq!(response.status, 200);
+    drop(server);
+}
+
+#[test]
 fn unknown_ids_and_routes_are_404s() {
     let (server, client) = start(ServerConfig::default());
     let response = client.request("GET", "/jobs/deadbeefdeadbeef", None).unwrap();

@@ -236,7 +236,7 @@ impl<'a> MemCtx<'a> {
     /// instruction and a word-sized metadata read, exactly like
     /// [`MemCtx::load`], but without reading the heap image.
     ///
-    /// This is the fast path of the rebuilt allocators: the traced cost
+    /// This is the fast path of FIRSTFIT's shadow engine: the traced cost
     /// model and the emitted reference stream are bit-identical to a
     /// real load, while the host avoids pointer-chasing through the
     /// multi-megabyte heap image for a value its compact shadow
@@ -258,12 +258,6 @@ impl<'a> MemCtx<'a> {
         shadow
     }
 
-    /// Emits a *burst* of shadow metadata loads: the exact sequence of
-    /// word-sized reads in `reads`, each paired with its shadow value
-    /// (checked against the heap image in debug builds, exactly like
-    /// [`MemCtx::shadow_load`]), charging one instruction per read in a
-    /// single bulk add.
-    ///
     /// Emits a *burst* of shadow metadata loads: the exact sequence of
     /// word-sized reads in `reads` — each a `(raw address, value)` pair
     /// whose value is checked against the heap image in debug builds,
