@@ -123,9 +123,9 @@ impl FirstFit {
         // Static area: freelist sentinel, then the heap prologue word; the
         // epilogue word follows and is pushed right by every extension.
         let mut mirror = WordMirror::new();
-        let mut flist = TaggedList::new(1);
+        let mut flist = TaggedList::new();
         let head = ctx.sbrk(list::SENTINEL_BYTES)?;
-        flist.init_head(ctx, &mut mirror, 0, head);
+        flist.init_head(ctx, &mut mirror, head);
         let prologue = ctx.sbrk(TAG)?;
         mirror.store(ctx, prologue, encode(0, F_ALLOC));
         let epilogue = ctx.sbrk(TAG)?;
@@ -177,10 +177,9 @@ impl FirstFit {
         // ceiling class proves the walk will succeed before it starts.
         ctx.obs_add(obs::names::BITMAP_PROBE, 1);
         let guaranteed = self.classes.first_at_least(ceil_class_of(need)).is_some();
-        let start = if self.config.roving { self.flist.pos_of(0, self.rover) } else { Pos::Head };
+        let start = if self.config.roving { self.flist.pos_of(self.rover) } else { Pos::Head };
         self.walk.clear();
         let (found, visits, hops) = self.flist.walk_first_fit(
-            0,
             start,
             &mut self.walk,
             |size| encode(size, 0),
@@ -206,7 +205,7 @@ impl FirstFit {
             // Split: the front becomes the allocation, the tail keeps the
             // original's freelist position.
             let tail = b + u64::from(need);
-            self.flist.replace(ctx, &mut self.mirror, 0, slot, tail, remainder);
+            self.flist.replace(ctx, &mut self.mirror, slot, tail, remainder);
             self.classes.remove(class_of(bsize));
             self.classes.add(class_of(remainder));
             write_tags_shadow(ctx, &mut self.mirror, tail, remainder, 0);
@@ -215,9 +214,9 @@ impl FirstFit {
             self.stats.splits += 1;
             (b + TAG, need)
         } else {
-            let succ = self.flist.next(ctx, 0, Pos::Node(slot));
-            let succ_addr = self.flist.addr(0, succ);
-            self.flist.unlink(ctx, &mut self.mirror, 0, slot);
+            let succ = self.flist.next(ctx, Pos::Node(slot));
+            let succ_addr = self.flist.addr(succ);
+            self.flist.unlink(ctx, &mut self.mirror, slot);
             self.classes.remove(class_of(bsize));
             write_tags_shadow(ctx, &mut self.mirror, b, bsize, F_ALLOC);
             self.rover = if succ_addr == b { self.head } else { succ_addr };
@@ -246,7 +245,7 @@ impl FirstFit {
         let new_epilogue = block + u64::from(need);
         self.mirror.store(ctx, new_epilogue, encode(0, F_ALLOC));
         self.top_end = ctx.heap().brk();
-        self.flist.insert_after(ctx, &mut self.mirror, 0, Pos::Head, block, need);
+        self.flist.insert_after(ctx, &mut self.mirror, Pos::Head, block, need);
         self.classes.add(class_of(need));
         // Merge with a free block ending right before the new one.
         let (b, _) =
@@ -266,7 +265,7 @@ impl FirstFit {
             let prev_size = tag_size(prev_tag);
             let prev = b - u64::from(prev_size);
             let slot = self.flist.slot_of(b).expect("coalesced block is on the freelist");
-            self.flist.unlink(ctx, &mut self.mirror, 0, slot);
+            self.flist.unlink(ctx, &mut self.mirror, slot);
             self.classes.remove(class_of(size));
             if self.rover == b {
                 self.rover = prev;
@@ -290,7 +289,7 @@ impl FirstFit {
                 self.rover = b;
             }
             let slot = self.flist.slot_of(next).expect("merged neighbour is on the freelist");
-            self.flist.unlink(ctx, &mut self.mirror, 0, slot);
+            self.flist.unlink(ctx, &mut self.mirror, slot);
             self.classes.remove(class_of(tag_size(next_tag)));
             let old_size = size;
             size += tag_size(next_tag);
@@ -342,8 +341,8 @@ impl Allocator for FirstFit {
         write_tags_shadow(ctx, &mut self.mirror, b, size, 0);
         // Insert at the rover position, as the Moraes implementation does:
         // freshly freed storage is encountered quickly by the next search.
-        let rover = self.flist.pos_of(0, self.rover);
-        self.flist.insert_after(ctx, &mut self.mirror, 0, rover, b, size);
+        let rover = self.flist.pos_of(self.rover);
+        self.flist.insert_after(ctx, &mut self.mirror, rover, b, size);
         self.classes.add(class_of(size));
         let merges_before = self.stats.coalesces;
         if self.config.coalesce {

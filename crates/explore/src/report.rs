@@ -10,9 +10,10 @@
 //!
 //! Each point row embeds the point's full [`RunReport`] — the *same*
 //! bytes a direct `repro` run of that [`JobSpec`] emits, after
-//! [`normalize_report`] zeroes the span wall-times both carry (the one
-//! nondeterministic telemetry field) — so downstream tooling that
-//! already consumes run reports can lift them out of a sweep unchanged.
+//! [`normalize_report`] zeroes the nondeterministic telemetry both carry
+//! (span wall-times, and sharded-pipeline send stalls) — so downstream
+//! tooling that already consumes run reports can lift them out of a
+//! sweep unchanged.
 
 use alloc_locality::{JobSpec, RunReport};
 use serde::{Deserialize, Serialize};
@@ -133,16 +134,21 @@ pub struct SweepFrontRow {
     pub front: Vec<String>,
 }
 
-/// Zeroes the one nondeterministic field a run report carries: span
-/// wall-times. Counters, histograms, span *counts*, and the whole
-/// [`RunResult`] are deterministic simulation output; `total_ns` is
-/// execution telemetry that differs on every run. Normalizing it makes
-/// the sweep artifact fully deterministic — the same sweep spec yields
-/// byte-identical sweep-report JSONL from the shared-trace executor,
-/// the naive baseline, and the serve daemon's job queue.
+/// Zeroes the nondeterministic fields a run report carries: span
+/// wall-times, and the `pipeline.send_stalls` counter a sharded run
+/// emits (how often the producer found a worker's channel full, which
+/// depends on thread scheduling). The other counters, histograms, span
+/// *counts*, and the whole [`RunResult`] are deterministic simulation
+/// output. Normalizing makes the sweep artifact fully deterministic —
+/// the same sweep spec yields byte-identical sweep-report JSONL from
+/// the shared-trace executor, the naive baseline, and the serve
+/// daemon's job queue.
 pub fn normalize_report(report: &mut RunReport) {
     for span in report.metrics.spans.values_mut() {
         span.total_ns = 0;
+    }
+    if let Some(stalls) = report.metrics.counters.get_mut("pipeline.send_stalls") {
+        *stalls = 0;
     }
 }
 
