@@ -25,10 +25,7 @@
 //! | [`Predictive`] | §5.1 future work | Call-site lifetime prediction over two chunked pools |
 //!
 //! Each policy has exactly one implementation, pinned by the committed
-//! golden digests of the repository's `tests/golden_digests.rs`. FIRSTFIT
-//! alone serves its long roving freelist walk from host-side shadow state
-//! ([`shadow`]), because that is the one search where the host time goes;
-//! its plain port stays in [`mod@reference`] as the test oracle.
+//! golden digests of the repository's `tests/golden_digests.rs`.
 //!
 //! # Example
 //!
@@ -61,8 +58,6 @@ pub mod gnu_local;
 pub mod layout;
 pub mod predictive;
 pub mod quick_fit;
-pub mod reference;
-pub mod shadow;
 pub mod size_map;
 pub mod stats;
 pub mod verify;

@@ -129,18 +129,24 @@ proptest! {
 
     /// The tagged allocators' heap must walk cleanly (headers == footers,
     /// blocks tile, coalescing leaves no adjacent free pairs) after any
-    /// script.
+    /// script, under any FirstFit configuration.
     #[test]
-    fn first_fit_heap_walks_clean(ops in ops_strategy(2048)) {
+    fn first_fit_heap_walks_clean(
+        ops in ops_strategy(2048),
+        split_threshold in 0u32..=128,
+        roving in any::<bool>(),
+        coalesce in any::<bool>(),
+    ) {
         use allocators::verify::check_tagged_heap;
         use allocators::layout::{list, TAG};
-        use allocators::FirstFit;
+        use allocators::first_fit::{FirstFit, FirstFitConfig};
 
         let mut heap = HeapImage::new();
         let mut sink = CountingSink::new();
         let mut instrs = InstrCounter::new();
         let mut ctx = MemCtx::new(&mut heap, &mut sink, &mut instrs);
-        let mut ff = FirstFit::new(&mut ctx).expect("build");
+        let config = FirstFitConfig { split_threshold, coalesce, roving };
+        let mut ff = FirstFit::with_config(&mut ctx, config).expect("build");
         let mut live: Vec<Address> = Vec::new();
         for op in &ops {
             match *op {
@@ -155,7 +161,9 @@ proptest! {
         }
         let start = ff.freelist_head() + list::SENTINEL_BYTES + TAG;
         let walk = check_tagged_heap(&ctx, start).expect("consistent heap");
-        prop_assert_eq!(walk.adjacent_free_pairs, 0, "coalescing missed work");
+        if coalesce {
+            prop_assert_eq!(walk.adjacent_free_pairs, 0, "coalescing missed work");
+        }
         prop_assert_eq!(walk.allocated_blocks, live.len() as u64);
     }
 

@@ -8,21 +8,7 @@
 //!      [--replay-cache DIR]
 //! perf --sinks [--scale F] [--repeat N] [--min-speedup F]
 //!      [--gate-retries N] [--sinks-out FILE]
-//! perf --alloc [--scale F] [--repeat N] [--min-speedup F]
-//!      [--gate-retries N] [--alloc-out FILE]
 //! ```
-//!
-//! With `--alloc`, the harness measures FIRSTFIT's shadow engine
-//! (`BENCH_alloc.json`), the one allocator with two implementations:
-//! the espresso malloc/free script is extracted once, then driven
-//! through the shadow engine (word mirror, occupancy bitmap, slab
-//! freelist, burst replay) and through its verbatim pre-rework port in
-//! [`allocators::reference`]. The two sides must emit bit-identical
-//! reference streams, heap images, statistics, per-phase instruction
-//! totals, and `alloc.search_len` / `alloc.coalesce_per_free`
-//! histograms (checked once, **never** retried); the wall-clock sides
-//! are then interleaved best-of `--repeat`, and the engine's speedup
-//! must clear `--min-speedup`. Either failure exits non-zero.
 //!
 //! With `--sinks`, the harness measures the data-parallel sink engine
 //! (`BENCH_sinks.json`): one run-compressed reference stream is
@@ -77,7 +63,6 @@
 //! [`RunResult`]s; any divergence makes the process exit non-zero, which
 //! is what CI's release-mode smoke job keys on.
 
-use std::collections::{BTreeMap, HashMap};
 use std::path::PathBuf;
 use std::process::ExitCode;
 use std::time::Instant;
@@ -85,18 +70,15 @@ use std::time::Instant;
 use alloc_locality::{
     default_threads, AllocChoice, Experiment, PipelineMode, RunResult, SimOptions,
 };
-use allocators::{reference, AllocStats, Allocator, AllocatorKind, FirstFit};
+use allocators::AllocatorKind;
 use bench::{interleaved_best_of, run_gated, time_closure, timing, GateOutcome, Timing};
 use cache_sim::reference::ReferenceSweepCache;
 use cache_sim::{Cache, CacheBank, CacheConfig, SweepCache};
-use obs::{MemoryRecorder, NullRecorder};
+use obs::NullRecorder;
 use serde::Serialize;
-use sim_mem::{
-    AccessSink, Address, CountingSink, HeapImage, InstrCounter, MemCtx, MemRef, NullSink, Phase,
-    RefRun,
-};
+use sim_mem::{AccessSink, CountingSink, MemRef, RefRun};
 use vm_sim::StackSim;
-use workloads::{AppEvent, Program, Scale};
+use workloads::{Program, Scale};
 
 /// The pipeline harness's JSON report (`BENCH_pipeline.json`).
 #[derive(Debug, Clone, Serialize)]
@@ -244,7 +226,6 @@ struct Args {
     obs: bool,
     replay: bool,
     sinks: bool,
-    alloc: bool,
     max_overhead: f64,
     gate_retries: u32,
     out: PathBuf,
@@ -253,7 +234,6 @@ struct Args {
     replay_out: PathBuf,
     replay_cache: PathBuf,
     sinks_out: PathBuf,
-    alloc_out: PathBuf,
     min_speedup: f64,
 }
 
@@ -272,8 +252,6 @@ fn parse_args() -> Result<Args, String> {
     let mut replay_cache = PathBuf::from("artifacts/stream-cache/perf-replay");
     let mut sinks = false;
     let mut sinks_out = PathBuf::from("BENCH_sinks.json");
-    let mut alloc = false;
-    let mut alloc_out = PathBuf::from("BENCH_alloc.json");
     let mut min_speedup = 0.0;
     let mut args = std::env::args().skip(1);
     while let Some(a) = args.next() {
@@ -304,10 +282,6 @@ fn parse_args() -> Result<Args, String> {
             "--sinks" => sinks = true,
             "--sinks-out" => {
                 sinks_out = PathBuf::from(args.next().ok_or("--sinks-out needs a path")?);
-            }
-            "--alloc" => alloc = true,
-            "--alloc-out" => {
-                alloc_out = PathBuf::from(args.next().ok_or("--alloc-out needs a path")?);
             }
             "--min-speedup" => {
                 let v = args.next().ok_or("--min-speedup needs a value")?;
@@ -345,8 +319,6 @@ fn parse_args() -> Result<Args, String> {
                      \x20           [--replay-cache DIR] [--min-speedup F]\n\
                      \x20      perf --sinks [--scale F] [--repeat N] [--min-speedup F]\n\
                      \x20           [--gate-retries N] [--sinks-out FILE]\n\
-                     \x20      perf --alloc [--scale F] [--repeat N] [--min-speedup F]\n\
-                     \x20           [--gate-retries N] [--alloc-out FILE]\n\
                      --matrix measures all five paper programs x (FirstFit, BSD, QuickFit)\n\
                      in the bank-vs-sweep comparison instead of espresso/FirstFit alone\n\
                      --obs measures recorder overhead (none vs null vs in-memory) and fails\n\
@@ -361,13 +333,7 @@ fn parse_args() -> Result<Args, String> {
                      (sweep, bank, single cache, pager) against its pre-restructure\n\
                      delivery, and fails if any lane's statistics diverge or the sweep\n\
                      lane's speedup falls below --min-speedup (re-measured up to\n\
-                     --gate-retries extra times first)\n\
-                     --alloc drives the espresso malloc/free script through FirstFit's\n\
-                     shadow engine and its verbatim reference port, and fails if the\n\
-                     emitted stream, heap image, stats, instruction totals or histograms\n\
-                     diverge (checked once, never retried) or the engine's speedup falls\n\
-                     below --min-speedup (re-measured up to --gate-retries extra times\n\
-                     first)"
+                     --gate-retries extra times first)"
                         .into(),
                 );
             }
@@ -381,7 +347,6 @@ fn parse_args() -> Result<Args, String> {
         obs,
         replay,
         sinks,
-        alloc,
         max_overhead,
         gate_retries,
         out,
@@ -390,7 +355,6 @@ fn parse_args() -> Result<Args, String> {
         replay_out,
         replay_cache,
         sinks_out,
-        alloc_out,
         min_speedup,
     })
 }
@@ -876,282 +840,6 @@ fn sinks_report(args: &Args) -> Result<SinksReport, String> {
     })
 }
 
-/// One alloc/free step of the extracted allocator script.
-#[derive(Debug, Clone, Copy)]
-enum AllocOp {
-    /// Request `size` bytes from call site `site`; the grant lands in
-    /// `slot`.
-    Malloc { slot: usize, size: u32, site: u32 },
-    /// Release the object in `slot`.
-    Free { slot: usize },
-}
-
-/// Extracts espresso's malloc/free script at `scale`: the allocator
-/// exercise alone, with generator object ids renumbered to dense slots
-/// so the replay indexes a flat address table instead of hashing ids.
-/// Returns the script and the slot-table size.
-fn alloc_script(scale: f64) -> (Vec<AllocOp>, usize) {
-    let mut slots: HashMap<u64, usize> = HashMap::new();
-    let mut next = 0usize;
-    let mut script = Vec::new();
-    for event in Program::Espresso.spec().events(Scale(scale)) {
-        match event {
-            AppEvent::Malloc { id, size, site } => {
-                slots.insert(id, next);
-                script.push(AllocOp::Malloc { slot: next, size, site });
-                next += 1;
-            }
-            AppEvent::Free { id } => {
-                let slot = slots.remove(&id).expect("generator frees live ids");
-                script.push(AllocOp::Free { slot });
-            }
-            _ => {}
-        }
-    }
-    (script, next)
-}
-
-/// Builds one side of the allocator lane: FIRSTFIT's shadow engine
-/// (`rework: true`) or its verbatim pre-rework port from
-/// [`allocators::reference`].
-fn build_side(rework: bool, ctx: &mut MemCtx<'_>) -> Result<Box<dyn Allocator>, String> {
-    Ok(if rework {
-        Box::new(FirstFit::new(ctx).map_err(|e| e.to_string())?)
-    } else {
-        Box::new(reference::FirstFit::new(ctx).map_err(|e| e.to_string())?)
-    })
-}
-
-/// Captures the stream exactly as delivered: run boundaries included,
-/// since RLE merging and flush cut-points are observable in captured
-/// streams and must match across the two engines.
-#[derive(Default)]
-struct RunSink {
-    runs: Vec<RefRun>,
-}
-
-impl AccessSink for RunSink {
-    fn record(&mut self, r: MemRef) {
-        self.runs.push(RefRun::once(r));
-    }
-
-    fn record_runs(&mut self, runs: &[RefRun]) {
-        self.runs.extend_from_slice(runs);
-    }
-}
-
-/// Counters only the shadow engine emits; ignored when comparing
-/// recorder state against the reference port.
-const NEW_ALLOC_COUNTERS: [&str; 2] = [obs::names::BITMAP_PROBE, obs::names::BOUNDARY_COALESCE];
-
-/// Everything observable about one scripted drive, for the lane's
-/// one-time identity check.
-#[derive(Debug, PartialEq)]
-struct LaneObservation {
-    runs: Vec<RefRun>,
-    heap_words: Vec<u32>,
-    stats: AllocStats,
-    instrs: InstrCounter,
-    counters: BTreeMap<String, u64>,
-    histograms: BTreeMap<String, Vec<(u64, u64)>>,
-}
-
-/// Drives the extracted script through one side of the lane, mimicking
-/// the engine's phase discipline. Returns the stats, per-phase
-/// instruction totals, the heap image's words (when `capture_heap`),
-/// and the wall-clock seconds from allocator build through final flush
-/// (heap and sink setup excluded).
-fn drive_script(
-    rework: bool,
-    script: &[AllocOp],
-    nslots: usize,
-    sink: &mut dyn AccessSink,
-    rec: Option<&mut MemoryRecorder>,
-    capture_heap: bool,
-) -> Result<(AllocStats, InstrCounter, Vec<u32>, f64), String> {
-    let mut heap = HeapImage::new();
-    let mut instrs = InstrCounter::new();
-    let mut addrs: Vec<Option<Address>> = vec![None; nslots];
-    let start = Instant::now();
-    let stats = {
-        let mut ctx = MemCtx::batched(&mut heap, sink, &mut instrs);
-        if let Some(r) = rec {
-            ctx = ctx.with_recorder(r);
-        }
-        ctx.set_phase(Phase::Malloc);
-        let mut alloc = build_side(rework, &mut ctx)?;
-        ctx.set_phase(Phase::App);
-        for &op in script {
-            match op {
-                AllocOp::Malloc { slot, size, site } => {
-                    ctx.set_phase(Phase::Malloc);
-                    let p = alloc
-                        .malloc_at(size, site, &mut ctx)
-                        .map_err(|e| format!("FirstFit: {e}"))?;
-                    ctx.set_phase(Phase::App);
-                    addrs[slot] = Some(p);
-                }
-                AllocOp::Free { slot } => {
-                    let p = addrs[slot].take().expect("script frees live slots");
-                    ctx.set_phase(Phase::Free);
-                    alloc.free(p, &mut ctx).map_err(|e| format!("FirstFit: {e}"))?;
-                    ctx.set_phase(Phase::App);
-                }
-            }
-        }
-        ctx.flush();
-        *alloc.stats()
-    };
-    let secs = start.elapsed().as_secs_f64();
-    let heap_words = if capture_heap {
-        let base = heap.base();
-        (0..(heap.brk() - base) / 4).map(|i| heap.read_u32(base + i * 4)).collect()
-    } else {
-        Vec::new()
-    };
-    Ok((stats, instrs, heap_words, secs))
-}
-
-/// One side's full observation: stream, heap, stats, instruction
-/// totals, and recorder state (minus the shadow engine's new counters).
-fn observe_side(
-    rework: bool,
-    script: &[AllocOp],
-    nslots: usize,
-) -> Result<LaneObservation, String> {
-    let mut sink = RunSink::default();
-    let mut rec = MemoryRecorder::new();
-    let (stats, instrs, heap_words, _) =
-        drive_script(rework, script, nslots, &mut sink, Some(&mut rec), true)?;
-    let snap = rec.snapshot();
-    let counters = snap
-        .counters
-        .iter()
-        .filter(|(name, _)| !NEW_ALLOC_COUNTERS.contains(&name.as_str()))
-        .map(|(name, &v)| (name.clone(), v))
-        .collect();
-    let histograms =
-        snap.histograms.iter().map(|(name, h)| (name.clone(), h.buckets.clone())).collect();
-    Ok(LaneObservation { runs: sink.runs, heap_words, stats, instrs, counters, histograms })
-}
-
-/// The one-time identity verdict plus the shared script the timed
-/// repeats replay.
-struct AllocIdentity {
-    script: Vec<AllocOp>,
-    nslots: usize,
-    /// Word-granular data references the lane's stream expands to.
-    data_refs: u64,
-    identical: bool,
-}
-
-/// Checks the lane's bit-identity exactly once: emitted stream (run
-/// boundaries included), heap image, stats, per-phase instruction
-/// totals, and recorder state up to the engine's new counters.
-fn alloc_identity(args: &Args) -> Result<AllocIdentity, String> {
-    let (script, nslots) = alloc_script(args.scale);
-    let mallocs = script.iter().filter(|op| matches!(op, AllocOp::Malloc { .. })).count();
-    eprintln!(
-        "# alloc perf: espresso script, {} events ({mallocs} mallocs), scale {}, best of {}",
-        script.len(),
-        args.scale,
-        args.repeat
-    );
-    let engine = observe_side(true, &script, nslots)?;
-    let reference = observe_side(false, &script, nslots)?;
-    let identical = engine == reference;
-    if !identical {
-        eprintln!("WARNING: FirstFit diverged from its pre-rework reference port");
-    }
-    let mut counter = CountingSink::new();
-    counter.record_runs(&engine.runs);
-    Ok(AllocIdentity { script, nslots, data_refs: counter.stats().total_words(), identical })
-}
-
-/// The allocator harness's JSON report (`BENCH_alloc.json`): FIRSTFIT's
-/// shadow engine timed against its verbatim reference port.
-#[derive(Debug, Clone, Serialize)]
-struct AllocReport {
-    program: String,
-    allocator: String,
-    scale: f64,
-    repeats: u32,
-    /// Which measurement attempt this report records (1-based; above 1
-    /// only when earlier attempts tripped the speedup gate and
-    /// `--gate-retries` allowed a re-measurement).
-    gate_attempt: u32,
-    /// Malloc/free events in the extracted script.
-    events: u64,
-    /// Word-granular data references the lane's stream expands to.
-    data_refs: u64,
-    /// The shadow engine driving the script.
-    engine: Timing,
-    /// The verbatim pre-rework port driving the same script.
-    reference: Timing,
-    /// `reference.secs / engine.secs` (what `--min-speedup` gates).
-    speedup: f64,
-    /// Whether the two sides were bit-identical (stream, heap, stats,
-    /// instruction totals, histograms).
-    identical_results: bool,
-}
-
-/// Leaves the process allocator holding freed heap pages for reuse.
-///
-/// Each timed drive grows a fresh heap image (and, on the engine side,
-/// its mirrors) inside the timed region. A multi-megabyte block that
-/// is allocated, touched and freed raises glibc's dynamic mmap and trim
-/// thresholds, so those buffers then come from already-faulted pages
-/// instead of being re-faulted from the OS on every repeat. Without it
-/// the page-fault cost, additive on both sides, dilutes the ratio the
-/// lane exists to measure, and the ratio depends on whatever the
-/// process happened to allocate before.
-fn warm_process_heap() {
-    std::hint::black_box(vec![1u8; 24 << 20]);
-}
-
-/// Times the lane, interleaved best-of-`--repeat`. The identity verdict
-/// comes from the (never re-run) `identity` pass.
-///
-/// The timed drives discard into a [`NullSink`]: sink-side accounting is
-/// identical on both sides (the identity pass proved the runs bit-equal,
-/// and `data_refs` comes from there), so counting during the timed pass
-/// would only add a shared constant that dilutes the very
-/// production-cost difference the lane exists to measure.
-fn alloc_report(
-    args: &Args,
-    identity: &AllocIdentity,
-    gate_attempt: u32,
-) -> Result<AllocReport, String> {
-    warm_process_heap();
-    let timed = |rework: bool| -> Result<((), f64), String> {
-        let mut sink = NullSink;
-        let (_, _, _, secs) =
-            drive_script(rework, &identity.script, identity.nslots, &mut sink, None, false)?;
-        Ok(((), secs))
-    };
-    let (((), cur_secs), ((), ref_secs)) =
-        interleaved_best_of(args.repeat, || timed(true), || timed(false))?;
-    let speedup = ref_secs / cur_secs.max(1e-9);
-    eprintln!(
-        "  FirstFit  engine {cur_secs:.3}s  reference {ref_secs:.3}s  {speedup:.2}x  \
-         (identical: {})",
-        identity.identical
-    );
-    Ok(AllocReport {
-        program: Program::Espresso.label().to_string(),
-        allocator: AllocatorKind::FirstFit.label().to_string(),
-        scale: args.scale,
-        repeats: args.repeat,
-        gate_attempt,
-        events: identity.script.len() as u64,
-        data_refs: identity.data_refs,
-        engine: timing("engine", cur_secs, identity.data_refs),
-        reference: timing("reference", ref_secs, identity.data_refs),
-        speedup,
-        identical_results: identity.identical,
-    })
-}
-
 /// The observability overhead report (`BENCH_obs.json`).
 #[derive(Debug, Clone, Serialize)]
 struct ObsReport {
@@ -1313,41 +1001,6 @@ fn run() -> Result<(), String> {
                 fail: format!(
                     "sweep lane speedup {:.2}x is below the {:.2}x gate after {} attempt(s)",
                     report.sweep_speedup, args.min_speedup, attempt
-                ),
-            })
-        });
-    }
-
-    if args.alloc {
-        // The lane's bit-identity (stream, heap image, stats,
-        // instruction totals, histograms) is checked exactly once — a
-        // divergence is an engine bug and must never be absorbed by a
-        // retry. Only the wall-clock speedup gate re-measures.
-        let identity = alloc_identity(&args)?;
-        if !identity.identical {
-            // Still write the report so CI uploads evidence of what ran.
-            let report = alloc_report(&args, &identity, 1)?;
-            write_json(&args.alloc_out, &report)?;
-            return Err("FirstFit diverged from its pre-rework reference port".to_string());
-        }
-        return run_gated(args.gate_retries, |attempt| {
-            let report = alloc_report(&args, &identity, attempt)?;
-            eprintln!(
-                "alloc FirstFit lane: {:.2}x (identical results: {})",
-                report.speedup, report.identical_results
-            );
-            write_json(&args.alloc_out, &report)?;
-            if report.speedup >= args.min_speedup {
-                return Ok(GateOutcome::Pass);
-            }
-            Ok(GateOutcome::Slow {
-                note: format!(
-                    "FirstFit lane speedup {:.2}x below the {:.2}x gate",
-                    report.speedup, args.min_speedup
-                ),
-                fail: format!(
-                    "FirstFit lane speedup {:.2}x is below the {:.2}x gate after {} attempt(s)",
-                    report.speedup, args.min_speedup, attempt
                 ),
             })
         });

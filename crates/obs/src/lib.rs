@@ -51,18 +51,10 @@ pub mod names {
     pub const TAG_READS: &str = "alloc.tag_reads";
     /// Boundary-tag words written (counter).
     pub const TAG_WRITES: &str = "alloc.tag_writes";
-    /// Occupancy-bitmap probes on FirstFit's shadow engine (counter):
-    /// one find-first-set consultation of its size-class bitmap before
-    /// each freelist walk. FirstFit-only: no other policy has a bitmap.
-    pub const BITMAP_PROBE: &str = "alloc.bitmap_probe";
     /// QuickFit's warm quicklist pops (counter): fast-path mallocs served
     /// from a non-empty exact-size list, as opposed to carved from the
     /// tail region. A subset of `AllocStats::quick_hits`.
     pub const QUICK_HIT: &str = "alloc.quick_hit";
-    /// Coalesce merges resolved from FirstFit's mirrored boundary tags
-    /// (counter). FirstFit-only; other coalescing policies report their
-    /// merges through `alloc.coalesce_per_free` alone.
-    pub const BOUNDARY_COALESCE: &str = "alloc.boundary_coalesce";
 }
 
 /// Sink for metrics emitted while a simulation runs.

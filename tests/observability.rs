@@ -113,24 +113,26 @@ fn extension_allocators_emit_full_reports() {
 
 #[test]
 fn allocator_engine_counters_surface_through_the_recorder() {
-    // The O(1) hot-path machinery must be visible to the recorder — and,
-    // per the test above, invisible to the result. FirstFit probes its
-    // size-class occupancy bitmap once per freelist search (one search
-    // per malloc) and counts every boundary-tag merge.
+    // The allocator's search and merge work must be visible to the
+    // recorder — and, per the test above, invisible to the result. The
+    // per-malloc samples add up to FirstFit's freelist visits; the
+    // per-free samples count every merge but those made when a heap
+    // extension joins the free block before it.
     let (result, metrics) = experiment(CacheEngine::Sweep, PipelineMode::Inline)
         .run_instrumented()
         .expect("instrumented run");
     assert_eq!(
-        metrics.counter(obs::names::BITMAP_PROBE),
-        result.alloc_stats.mallocs,
-        "one occupancy-bitmap probe per FirstFit search"
+        metrics.histogram(obs::names::SEARCH_LEN).expect("search lengths").sum,
+        result.alloc_stats.search_visits,
+        "search-length samples sum to FirstFit's freelist visits"
     );
-    assert_eq!(
-        metrics.counter(obs::names::BOUNDARY_COALESCE),
-        result.alloc_stats.coalesces,
-        "one boundary-coalesce count per merge"
+    let merged_on_free =
+        metrics.histogram(obs::names::COALESCE_PER_FREE).expect("coalesce counts").sum;
+    assert!(merged_on_free > 0, "workload must exercise coalescing on free");
+    assert!(
+        merged_on_free <= result.alloc_stats.coalesces,
+        "free-time merges are a subset of all boundary-tag merges"
     );
-    assert!(result.alloc_stats.coalesces > 0, "workload must exercise coalescing");
 
     // QuickFit pops warm quicklists; the hit counter covers exactly the
     // warm pops, a subset of the fast-path mallocs in its stats.
