@@ -8,10 +8,11 @@
 //! * **engine cells** — `Program::FIVE` × every allocator choice whose
 //!   policy lives in `crates/allocators`, plus every point of the CI
 //!   espresso exploration grid, at scale 0.005 (small enough for
-//!   the debug-profile test suite). Each cell digests
-//!   its captured reference stream (run boundaries included), per-phase
-//!   instruction counts, `AllocStats`, the serialized `RunResult`, and
-//!   the run's metric counters and histograms;
+//!   the debug-profile test suite). Each cell digests its captured
+//!   reference stream (run boundaries included), the ALSC bytes that
+//!   stream encodes to, per-phase instruction counts, `AllocStats`, the
+//!   serialized `RunResult`, and the run's metric counters and
+//!   histograms;
 //! * **scripts** — deterministic alloc/free sequences that straddle every
 //!   size-class boundary, cascade coalesces and cross the 4096-ref flush
 //!   cut-point, driven straight through each allocator. Each digests the
@@ -39,7 +40,7 @@ use allocators::quick_fit::QuickFitConfig;
 use allocators::{Allocator, SizeProfile};
 use cache_sim::CacheConfig;
 use obs::{MemoryRecorder, MetricsSnapshot};
-use sim_mem::stream::Fnv64;
+use sim_mem::stream::{encode_stream, Fnv64};
 use sim_mem::{AccessSink, Address, HeapImage, InstrCounter, MemCtx, MemRef, Phase, RefRun};
 use workloads::{Program, Scale};
 
@@ -142,6 +143,7 @@ fn cell_digests(program: Program, choice: AllocChoice) -> BTreeMap<String, Strin
     let (result, metrics) = exp.run_instrumented().unwrap_or_else(|e| panic!("{label}: {e}"));
     BTreeMap::from([
         ("stream".to_string(), digest_runs(&runs)),
+        ("alsc".to_string(), hex(sim_mem::stream::fnv1a(&encode_stream(0, b"", &runs)))),
         ("instrs".to_string(), digest_json(serde_json::to_string(&result.instrs))),
         ("alloc_stats".to_string(), digest_json(serde_json::to_string(&result.alloc_stats))),
         ("result".to_string(), digest_json(serde_json::to_string(&result))),
