@@ -56,7 +56,7 @@ pub use ctx::{MemCtx, BATCH_CAPACITY};
 pub use heap::{HeapImage, OomError};
 pub use stream::{
     decode_sidecar, decode_stream, encode_stream, CacheLookup, CacheStats, DecodedStream, Fnv64,
-    SidecarLookup, StreamCache, StreamError, STREAM_FORMAT_VERSION, STREAM_MAGIC,
+    SidecarLookup, StreamCache, StreamEncoder, StreamError, STREAM_FORMAT_VERSION, STREAM_MAGIC,
 };
 
 /// The trait implemented by every consumer of the simulated reference

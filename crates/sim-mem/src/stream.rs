@@ -5,8 +5,9 @@
 //! (program, allocator) reference stream against many measurement
 //! configurations, yet regenerating that stream — workload model plus
 //! allocator simulation — dominates a run's wall-clock cost. This
-//! module serializes a captured [`RefRun`] stream to a compact binary
-//! file so a later run with the same *driver identity* pays only
+//! module serializes a [`RefRun`] stream — incrementally, as the driver
+//! flushes it ([`StreamEncoder`]) — to a compact binary file so a later
+//! run with the same *driver identity* pays only
 //! decode + sink cost — or, when the stored sidecar already answers the
 //! run (see [`decode_sidecar`]), only the read + checksum.
 //!
@@ -178,76 +179,92 @@ const FLAG_SIZED: u8 = 1 << 2;
 const FLAG_REPEATED: u8 = 1 << 3;
 const FLAG_KNOWN: u8 = FLAG_WRITE | FLAG_META | FLAG_SIZED | FLAG_REPEATED;
 
-/// Serializes a stream to the ALSC byte format.
+/// Incremental ALSC encoder: runs are pushed as the driver flushes them
+/// and the file is assembled once, at [`StreamEncoder::finish`], so a
+/// populating run never holds its stream as [`RefRun`]s.
 ///
-/// `content_key` identifies what generated the stream (the caller
-/// hashes the driver identity); `sidecar` is stored verbatim and handed
-/// back on decode. Adjacent identical runs are merged.
+/// Only the record bytes are buffered (about 2.5 B per run against a
+/// `RefRun`'s 24 B): the header's run and reference counts precede the
+/// records, so they are written when the stream is complete. Adjacent
+/// identical runs merge across push boundaries, so the bytes depend
+/// only on the concatenated runs, never on how they were batched.
+#[derive(Debug, Default)]
+pub struct StreamEncoder {
+    /// Encoded records of every merged run written so far.
+    records: Vec<u8>,
+    /// Records in `records` (merged counts above `u32::MAX` split into
+    /// saturated records).
+    record_count: u64,
+    /// Expanded references pushed so far, `pending` included.
+    ref_count: u64,
+    /// Address of the last written record (the delta base).
+    prev_addr: u64,
+    /// The run being merged, not yet written.
+    pending: Option<(MemRef, u64)>,
+}
+
+impl StreamEncoder {
+    /// An encoder holding an empty stream.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// Appends `runs` to the stream.
+    pub fn push_runs(&mut self, runs: &[RefRun]) {
+        for run in runs {
+            debug_assert!(run.count >= 1);
+            self.ref_count += u64::from(run.count);
+            match &mut self.pending {
+                Some((r, count)) if *r == run.r => *count += u64::from(run.count),
+                _ => {
+                    if let Some((r, count)) = self.pending.replace((run.r, u64::from(run.count))) {
+                        self.record_count +=
+                            write_run(&mut self.records, r, count, &mut self.prev_addr);
+                    }
+                }
+            }
+        }
+    }
+
+    /// Serializes the stream to the ALSC byte format. `content_key`
+    /// identifies what generated the stream (the caller hashes the
+    /// driver identity); `sidecar` is stored verbatim and handed back on
+    /// decode.
+    pub fn finish(mut self, content_key: u64, sidecar: &[u8]) -> Vec<u8> {
+        if let Some((r, count)) = self.pending.take() {
+            self.record_count += write_run(&mut self.records, r, count, &mut self.prev_addr);
+        }
+        // header + counts (three varints of at most 10 bytes) + sidecar
+        // + records + trailer.
+        let mut out = Vec::with_capacity(HEADER_LEN + 30 + sidecar.len() + self.records.len() + 8);
+        out.extend_from_slice(&STREAM_MAGIC);
+        out.push(STREAM_FORMAT_VERSION);
+        out.extend_from_slice(&[0u8; 3]);
+        out.extend_from_slice(&content_key.to_le_bytes());
+        varint::write_u64(&mut out, self.record_count).expect("vec write");
+        varint::write_u64(&mut out, self.ref_count).expect("vec write");
+        varint::write_u64(&mut out, sidecar.len() as u64).expect("vec write");
+        out.extend_from_slice(sidecar);
+        out.extend_from_slice(&self.records);
+        let mut check = Fnv64::new();
+        check.write(&out[HEADER_LEN..]);
+        out.extend_from_slice(&check.finish().to_le_bytes());
+        out
+    }
+}
+
+/// Serializes a whole stream to the ALSC byte format in one call (see
+/// [`StreamEncoder`]). Adjacent identical runs are merged.
 pub fn encode_stream(content_key: u64, sidecar: &[u8], runs: &[RefRun]) -> Vec<u8> {
-    // Pre-size: header + counts + sidecar + ~3 bytes per run + trailer.
-    let mut out = Vec::with_capacity(HEADER_LEN + 24 + sidecar.len() + runs.len() * 3 + 8);
-    out.extend_from_slice(&STREAM_MAGIC);
-    out.push(STREAM_FORMAT_VERSION);
-    out.extend_from_slice(&[0u8; 3]);
-    out.extend_from_slice(&content_key.to_le_bytes());
-
-    let (merged_runs, ref_count) = merged_counts(runs);
-    varint::write_u64(&mut out, merged_runs).expect("vec write");
-    varint::write_u64(&mut out, ref_count).expect("vec write");
-    varint::write_u64(&mut out, sidecar.len() as u64).expect("vec write");
-    out.extend_from_slice(sidecar);
-
-    let mut prev_addr = 0u64;
-    let mut pending: Option<(MemRef, u64)> = None;
-    for run in runs {
-        debug_assert!(run.count >= 1);
-        match &mut pending {
-            Some((r, count)) if *r == run.r => *count += u64::from(run.count),
-            _ => {
-                if let Some((r, count)) = pending.take() {
-                    write_run(&mut out, r, count, &mut prev_addr);
-                }
-                pending = Some((run.r, u64::from(run.count)));
-            }
-        }
-    }
-    if let Some((r, count)) = pending {
-        write_run(&mut out, r, count, &mut prev_addr);
-    }
-
-    let mut check = Fnv64::new();
-    check.write(&out[HEADER_LEN..]);
-    out.extend_from_slice(&check.finish().to_le_bytes());
-    out
+    let mut encoder = StreamEncoder::new();
+    encoder.push_runs(runs);
+    encoder.finish(content_key, sidecar)
 }
 
-/// Counts the records and expanded references `encode_stream` will
-/// write after merging adjacent identical runs (merged counts above
-/// `u32::MAX` split into saturated records).
-fn merged_counts(runs: &[RefRun]) -> (u64, u64) {
-    let mut records = 0u64;
-    let mut refs = 0u64;
-    let mut pending: Option<(MemRef, u64)> = None;
-    for run in runs {
-        refs += u64::from(run.count);
-        match &mut pending {
-            Some((r, count)) if *r == run.r => *count += u64::from(run.count),
-            _ => {
-                if let Some((_, count)) = pending.take() {
-                    records += count.div_ceil(u64::from(u32::MAX));
-                }
-                pending = Some((run.r, u64::from(run.count)));
-            }
-        }
-    }
-    if let Some((_, count)) = pending {
-        records += count.div_ceil(u64::from(u32::MAX));
-    }
-    (records, refs)
-}
-
-/// Writes one merged run, splitting counts that exceed `u32::MAX`.
-fn write_run(out: &mut Vec<u8>, r: MemRef, mut count: u64, prev_addr: &mut u64) {
+/// Writes one merged run, splitting counts that exceed `u32::MAX`, and
+/// returns the number of records written.
+fn write_run(out: &mut Vec<u8>, r: MemRef, mut count: u64, prev_addr: &mut u64) -> u64 {
+    let records = count.div_ceil(u64::from(u32::MAX));
     while count > 0 {
         let chunk = count.min(u64::from(u32::MAX)) as u32;
         count -= u64::from(chunk);
@@ -275,6 +292,7 @@ fn write_run(out: &mut Vec<u8>, r: MemRef, mut count: u64, prev_addr: &mut u64) 
             varint::write_u64(out, u64::from(chunk - 1)).expect("vec write");
         }
     }
+    records
 }
 
 /// Verifies an ALSC byte string's magic, version, content key, and
@@ -661,34 +679,34 @@ impl StreamCache {
     /// Returns the underlying I/O error; callers treat a failed store as
     /// a missed optimization, not a failed run.
     pub fn store(&self, key: u64, sidecar: &[u8], runs: &[RefRun]) -> std::io::Result<()> {
+        self.store_encoded(key, &encode_stream(key, sidecar, runs))
+    }
+
+    /// Atomically stores an already-encoded ALSC file (a
+    /// [`StreamEncoder::finish`] output for `key`) under `key`.
+    ///
+    /// # Errors
+    ///
+    /// As [`StreamCache::store`].
+    pub fn store_encoded(&self, key: u64, bytes: &[u8]) -> std::io::Result<()> {
         // Distinct scratch file per writer: two threads of one process
         // racing on the same key must not interleave writes into a
         // shared tmp (the pid alone cannot distinguish them).
         static TMP_SEQ: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
         std::fs::create_dir_all(&self.dir)?;
-        let bytes = encode_stream(key, sidecar, runs);
         let seq = TMP_SEQ.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
         let tmp = self.dir.join(format!("{key:016x}.alsc.tmp.{}.{seq}", std::process::id()));
-        let mut file = std::fs::File::create(&tmp)?;
-        file.write_all(&bytes)?;
-        file.sync_all()?;
-        drop(file);
-        let result = std::fs::rename(&tmp, self.path_for(key));
-        if result.is_err() {
-            let _ = std::fs::remove_file(&tmp);
-        } else {
-            if let Ok(mut memo) = decode_memo().lock() {
-                // The file just changed; a memo entry for this key is
-                // stale.
-                if memo.as_ref().is_some_and(|entry| entry.key == key) {
-                    *memo = None;
-                }
-            }
-            if let Some(max_bytes) = self.max_bytes {
-                self.evict_to_bound(&self.path_for(key), max_bytes);
+        replace_via_tmp(&tmp, &self.path_for(key), |file| file.write_all(bytes))?;
+        if let Ok(mut memo) = decode_memo().lock() {
+            // The file just changed; a memo entry for this key is stale.
+            if memo.as_ref().is_some_and(|entry| entry.key == key) {
+                *memo = None;
             }
         }
-        result
+        if let Some(max_bytes) = self.max_bytes {
+            self.evict_to_bound(&self.path_for(key), max_bytes);
+        }
+        Ok(())
     }
 
     /// Deletes the oldest-written `.alsc` files until the directory fits
@@ -719,6 +737,27 @@ impl StreamCache {
             }
         }
     }
+}
+
+/// Creates `tmp`, fills it with `write`, syncs it and renames it onto
+/// `dest`. On every error path the scratch file is removed: the size
+/// bound counts only `.alsc` files, so a leaked scratch file would hold
+/// bytes outside it (a full disk fails `write_all` or `sync_all`).
+fn replace_via_tmp(
+    tmp: &Path,
+    dest: &Path,
+    write: impl FnOnce(&mut std::fs::File) -> std::io::Result<()>,
+) -> std::io::Result<()> {
+    let result = std::fs::File::create(tmp).and_then(|mut file| {
+        write(&mut file)?;
+        file.sync_all()?;
+        drop(file);
+        std::fs::rename(tmp, dest)
+    });
+    if result.is_err() {
+        let _ = std::fs::remove_file(tmp);
+    }
+    result
 }
 
 /// Expands a run-compressed stream into its raw reference sequence
@@ -981,14 +1020,39 @@ mod tests {
 
     #[test]
     fn merged_counts_past_u32_max_split_into_saturated_records() {
+        // The merge spans two pushes, and the merged count overflows a
+        // record: the encoder writes a saturated record plus the rest,
+        // and declares both records in its header.
         let r = MemRef::app_read(Address::new(8), 4);
-        let runs = vec![RefRun { r, count: u32::MAX }, RefRun { r, count: 3 }];
-        let bytes = encode_stream(6, b"", &runs);
+        let mut encoder = StreamEncoder::new();
+        encoder.push_runs(&[RefRun { r, count: u32::MAX }]);
+        encoder.push_runs(&[RefRun { r, count: 3 }]);
+        let bytes = encoder.finish(6, b"");
+        let mut pos = HEADER_LEN;
+        assert_eq!(varint::take_u64(&bytes, &mut pos), Some(2), "record count");
+        assert_eq!(varint::take_u64(&bytes, &mut pos), Some(u64::from(u32::MAX) + 3), "refs");
         let decoded = decode_stream(&bytes, 6).expect("decode");
-        let total: u64 = decoded.runs.iter().map(|run| u64::from(run.count)).sum();
-        assert_eq!(total, u64::from(u32::MAX) + 3);
-        for run in &decoded.runs {
-            assert_eq!(run.r, r);
-        }
+        assert_eq!(decoded.runs, vec![RefRun { r, count: u32::MAX }, RefRun { r, count: 3 }]);
+    }
+
+    #[test]
+    fn failed_writes_leave_no_scratch_file() {
+        let dir = std::env::temp_dir().join(format!("alsc-tmp-test-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).expect("create dir");
+        let tmp = dir.join("00.alsc.tmp.0.0");
+        let dest = dir.join("00.alsc");
+        let failed = replace_via_tmp(&tmp, &dest, |file| {
+            file.write_all(b"partial")?;
+            Err(std::io::Error::new(std::io::ErrorKind::StorageFull, "disk full"))
+        });
+        assert_eq!(failed.map_err(|e| e.kind()), Err(std::io::ErrorKind::StorageFull));
+        assert!(!tmp.exists(), "scratch file left behind");
+        assert!(!dest.exists(), "a failed write must not be published");
+
+        replace_via_tmp(&tmp, &dest, |file| file.write_all(b"whole")).expect("store");
+        assert!(!tmp.exists());
+        assert_eq!(std::fs::read(&dest).expect("read back"), b"whole");
+        let _ = std::fs::remove_dir_all(&dir);
     }
 }

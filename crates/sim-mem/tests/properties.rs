@@ -320,6 +320,56 @@ proptest! {
         }
     }
 
+    /// A `StreamEncoder` writes the same bytes however its runs are cut
+    /// into pushes: identical runs merge across a cut, including merges
+    /// whose combined count passes `u32::MAX`.
+    #[test]
+    fn stream_encoder_bytes_ignore_push_boundaries(
+        raw_runs in proptest::collection::vec(
+            (0usize..3, any::<bool>(), prop_oneof![Just(u32::MAX), Just(u32::MAX - 1), 1u32..5]),
+            0..40,
+        ),
+        cuts in proptest::collection::vec(0usize..40, 0..8),
+        sidecar in proptest::collection::vec(any::<u8>(), 0..32),
+        key: u64,
+    ) {
+        // A three-address pool makes adjacent identical runs common.
+        let pool = [0x4000u64, 0x4004, 0x9000];
+        let runs: Vec<RefRun> = raw_runs
+            .iter()
+            .map(|&(slot, write, count)| {
+                let a = Address::new(pool[slot]);
+                let r = if write { MemRef::app_write(a, 4) } else { MemRef::app_read(a, 4) };
+                RefRun { r, count }
+            })
+            .collect();
+        let mut whole = sim_mem::StreamEncoder::new();
+        whole.push_runs(&runs);
+        let whole = whole.finish(key, &sidecar);
+        prop_assert_eq!(&sim_mem::encode_stream(key, &sidecar, &runs), &whole);
+
+        let mut cuts: Vec<usize> = cuts.into_iter().map(|c| c.min(runs.len())).collect();
+        cuts.sort_unstable();
+        let mut cut_encoder = sim_mem::StreamEncoder::new();
+        let mut start = 0;
+        for cut in cuts.into_iter().chain([runs.len()]) {
+            cut_encoder.push_runs(&runs[start..cut]);
+            start = cut;
+        }
+        prop_assert_eq!(&cut_encoder.finish(key, &sidecar), &whole);
+
+        // Every run split in two, one half on each side of a cut.
+        let mut halves = sim_mem::StreamEncoder::new();
+        for run in &runs {
+            let first = run.count / 2;
+            if first > 0 {
+                halves.push_runs(&[RefRun { r: run.r, count: first }]);
+            }
+            halves.push_runs(&[RefRun { r: run.r, count: run.count - first }]);
+        }
+        prop_assert_eq!(&halves.finish(key, &sidecar), &whole);
+    }
+
     /// A batched MemCtx stream — whose runs straddle flush boundaries at
     /// [`sim_mem::BATCH_CAPACITY`] — round-trips through the codec to
     /// exactly the raw reference sequence an unbatched context records.

@@ -8,6 +8,9 @@ use rand::{Rng, SeedableRng};
 
 use crate::{AppEvent, Scale, SizePick, WorkloadSpec};
 
+/// [`EventStream::live_pos`] entry of a freed object.
+const DEAD: u32 = u32::MAX;
+
 /// Iterator producing the application's event stream.
 ///
 /// The process, per allocation step:
@@ -37,8 +40,10 @@ pub struct EventStream {
     next_id: u64,
     /// Live object ids and sizes, index-addressable for uniform picks.
     live: Vec<(u64, u32)>,
-    /// Position of each live id in `live` (id -> index), for O(1) removal.
-    live_pos: std::collections::HashMap<u64, usize>,
+    /// Position in `live` of every id ever allocated, indexed by id
+    /// (ids count up from 0, so the table is dense); [`DEAD`] once the
+    /// object is freed. O(1) removal without hashing.
+    live_pos: Vec<u32>,
     /// (death step, id) min-heap.
     deaths: BinaryHeap<Reverse<(u64, u64)>>,
     /// Objects dying at the next phase boundary.
@@ -71,7 +76,7 @@ impl EventStream {
             step: 0,
             next_id: 0,
             live: Vec::new(),
-            live_pos: std::collections::HashMap::new(),
+            live_pos: Vec::new(),
             deaths: BinaryHeap::new(),
             cohort: Vec::new(),
             recent: VecDeque::new(),
@@ -102,10 +107,14 @@ impl EventStream {
     }
 
     fn remove_live(&mut self, id: u64) -> Option<u32> {
-        let pos = self.live_pos.remove(&id)?;
+        let slot = &mut self.live_pos[id as usize];
+        if *slot == DEAD {
+            return None;
+        }
+        let pos = std::mem::replace(slot, DEAD) as usize;
         let (_, size) = self.live.swap_remove(pos);
         if let Some(&(moved, _)) = self.live.get(pos) {
-            self.live_pos.insert(moved, pos);
+            self.live_pos[moved as usize] = pos as u32;
         }
         Some(size)
     }
@@ -118,8 +127,9 @@ impl EventStream {
             // Recency-weighted touch; fall back if the entry died.
             let k = self.rng.random_range(0..self.recent.len());
             let id = self.recent[k];
-            if let Some(&pos) = self.live_pos.get(&id) {
-                return Some(self.live[pos]);
+            let pos = self.live_pos[id as usize];
+            if pos != DEAD {
+                return Some(self.live[pos as usize]);
             }
         }
         let k = self.rng.random_range(0..self.live.len());
@@ -203,8 +213,13 @@ impl EventStream {
         self.queue.push_back(AppEvent::Malloc { id, size, site });
         // Initialization write over the whole object.
         self.queue.push_back(AppEvent::Access { id, offset: 0, len: size.max(1), write: true });
+        debug_assert_eq!(self.live_pos.len() as u64, id);
+        let pos = u32::try_from(self.live.len())
+            .ok()
+            .filter(|&pos| pos != DEAD)
+            .expect("fewer than u32::MAX live objects");
+        self.live_pos.push(pos);
         self.live.push((id, size));
-        self.live_pos.insert(id, self.live.len() - 1);
         self.touch_recent(id);
         if self.spec.permanent_fraction < 1.0 && !self.rng.random_bool(self.spec.permanent_fraction)
         {

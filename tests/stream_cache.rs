@@ -4,7 +4,11 @@
 //!    produces a [`RunResult`] bit-identical to the cold run that
 //!    populated the cache, and the instrumented `RunReport` JSONL line
 //!    is *byte*-identical — in both pipeline modes.
-//! 2. **Damage degrades, it never breaks.** A corrupt or truncated
+//! 2. **Populating is the generated run plus an encoder.** The cold run
+//!    that stores a stream returns the uncached run's result and metrics
+//!    (plus the cache's own counters), and stores exactly the ALSC
+//!    encoding of the stream the engine captures.
+//! 3. **Damage degrades, it never breaks.** A corrupt or truncated
 //!    cache file demotes the run to cold generation, recorded as
 //!    `stream_cache.invalid`, and the file is rewritten for next time.
 
@@ -12,6 +16,7 @@ use alloc_locality_repro::engine::{AllocChoice, Experiment, PipelineMode, SimOpt
 use allocators::AllocatorKind;
 use cache_sim::CacheConfig;
 use obs::MemoryRecorder;
+use sim_mem::stream::{decode_sidecar, encode_stream};
 use workloads::{Program, Scale};
 
 /// A fresh per-test cache directory (cleared on entry so reruns and
@@ -70,6 +75,48 @@ fn warm_replay_is_bit_identical_in_both_pipeline_modes() {
         // The uninstrumented entry point replays to the same result too.
         let plain = exp.run().unwrap_or_else(|e| panic!("{name} plain run: {e}"));
         assert_eq!(plain, cold.result, "{name}: run() after populate diverged");
+
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+}
+
+#[test]
+fn populating_run_is_the_generated_run_teed_into_the_encoder() {
+    for (mode, name) in [(PipelineMode::Inline, "inline"), (PipelineMode::Sharded, "sharded")] {
+        let dir = cache_dir(&format!("tee-{name}"));
+        let cached = Experiment::new(Program::Gawk, AllocChoice::Paper(AllocatorKind::FirstFit))
+            .options(opts(&dir, mode));
+        let mut uncached_opts = opts(&dir, mode);
+        uncached_opts.stream_cache = None;
+        let uncached = Experiment::new(Program::Gawk, AllocChoice::Paper(AllocatorKind::FirstFit))
+            .options(uncached_opts);
+
+        let (populated, mut metrics) =
+            cached.run_instrumented().unwrap_or_else(|e| panic!("{name} populating run: {e}"));
+        let plain = uncached.run().unwrap_or_else(|e| panic!("{name} uncached run: {e}"));
+        assert_eq!(populated, plain, "{name}: populating RunResult diverged");
+
+        let (_, mut want) =
+            uncached.run_instrumented().unwrap_or_else(|e| panic!("{name} instrumented run: {e}"));
+        want.counters.insert("stream_cache.miss".to_string(), 1);
+        want.counters.insert("stream_cache.store".to_string(), 1);
+        // pipeline.send_stalls counts scheduling-dependent backpressure.
+        for snap in [&mut metrics, &mut want] {
+            snap.counters.remove("pipeline.send_stalls");
+        }
+        assert_eq!(metrics.counters, want.counters, "{name}: counters diverged");
+        assert_eq!(metrics.histograms, want.histograms, "{name}: histograms diverged");
+
+        let path = sole_cache_file(&dir);
+        let stem = path.file_stem().and_then(|s| s.to_str()).expect("hex file stem");
+        let key = u64::from_str_radix(stem, 16).expect("file named by its key");
+        let stored = std::fs::read(&path).expect("read stream file");
+        let sidecar = decode_sidecar(&stored, key).expect("stored sidecar");
+        let runs = cached.capture_runs().unwrap_or_else(|e| panic!("{name} capture: {e}"));
+        assert!(
+            stored == encode_stream(key, &sidecar, &runs),
+            "{name}: stored stream is not the encoding of the captured runs"
+        );
 
         let _ = std::fs::remove_dir_all(&dir);
     }
