@@ -1,24 +1,25 @@
 //! `trace-tool`: record, inspect, and replay reference traces.
 //!
 //! ```text
-//! trace-tool record <program> <allocator> <out.trace> [--scale F]
-//! trace-tool info <trace>
-//! trace-tool replay <trace> [--cache-kb N]... [--paging] [--three-c] [--victim N]
+//! trace-tool record <program> <allocator> <out.alsc> [--scale F]
+//! trace-tool info <stream>
+//! trace-tool replay <stream> [--cache-kb N]... [--paging] [--three-c] [--victim N]
 //! trace-tool export <program> <out.txt> [--scale F]
 //! trace-tool run-app <events.txt> <allocator>
 //! trace-tool chrome <trace.jsonl> <out.json>
 //! trace-tool promlint <exposition.txt>
 //! ```
 //!
-//! Three trace kinds exist: binary **reference** traces (`record`/
-//! `info`/`replay`, ALTR format — what the simulators consume), text
-//! **application** traces (`export`/`run-app`, the `workloads::import`
-//! format — what the allocators consume), and hierarchical **span**
-//! traces (`chrome`, `alloc-locality.trace` v1 JSONL from
-//! `repro --trace` or `GET /jobs/{id}/trace` — what `chrome://tracing`
-//! and Perfetto open after conversion). `promlint` checks a Prometheus
-//! text exposition (e.g. a scraped `GET /metrics?format=prometheus`
-//! body) for format violations.
+//! Three trace kinds exist: binary **reference** streams (`record`/
+//! `info`/`replay`, the checksummed ALSC format of the stream cache with
+//! content key 0 and an empty sidecar — what the simulators consume),
+//! text **application** traces (`export`/`run-app`, the
+//! `workloads::import` format — what the allocators consume), and
+//! hierarchical **span** traces (`chrome`, `alloc-locality.trace` v1
+//! JSONL from `repro --trace` or `GET /jobs/{id}/trace` — what
+//! `chrome://tracing` and Perfetto open after conversion). `promlint`
+//! checks a Prometheus text exposition (e.g. a scraped
+//! `GET /metrics?format=prometheus` body) for format violations.
 //!
 //! `record` captures the full reference stream of one experiment (the
 //! PIXIE-trace-file workflow the paper's execution-driven setup
@@ -30,10 +31,11 @@ use std::fs::File;
 use std::io::BufReader;
 use std::process::ExitCode;
 
-use alloc_locality::{AllocChoice, Experiment, SimOptions};
+use alloc_locality::job_spec::MAX_CACHE_KB;
+use alloc_locality::{AllocChoice, Experiment};
 use allocators::AllocatorKind;
 use cache_sim::{CacheBank, CacheConfig, ThreeCAnalyzer, VictimCache};
-use sim_mem::{AccessSink, CountingSink, MemRef};
+use sim_mem::{decode_stream, AccessSink, CountingSink, RefRun};
 use vm_sim::StackSim;
 use workloads::{Program, Scale};
 
@@ -63,63 +65,58 @@ fn parse_allocator(name: &str) -> Option<AllocChoice> {
     }
 }
 
+/// Parses a `--scale` value: a positive, finite fraction of the
+/// paper's allocation counts (the workload generator panics on others).
+fn parse_scale(value: Option<&String>) -> Result<f64, String> {
+    let v = value.ok_or("--scale needs a value")?;
+    let scale: f64 = v.parse().map_err(|e| format!("bad scale {v}: {e}"))?;
+    if !(scale > 0.0 && scale.is_finite()) {
+        return Err(format!("scale {v} must be positive and finite"));
+    }
+    Ok(scale)
+}
+
 fn record(args: &[String]) -> Result<(), String> {
     let [program, allocator, out, rest @ ..] = args else {
-        return Err("usage: trace-tool record <program> <allocator> <out.trace> [--scale F]".into());
+        return Err("usage: trace-tool record <program> <allocator> <out.alsc> [--scale F]".into());
     };
     let mut scale = 0.005;
     let mut it = rest.iter();
     while let Some(a) = it.next() {
         match a.as_str() {
-            "--scale" => {
-                scale = it
-                    .next()
-                    .ok_or("--scale needs a value")?
-                    .parse()
-                    .map_err(|e| format!("bad scale: {e}"))?;
-            }
+            "--scale" => scale = parse_scale(it.next())?,
             other => return Err(format!("unknown flag {other}")),
         }
     }
     let program = parse_program(program).ok_or(format!("unknown program {program}"))?;
     let choice = parse_allocator(allocator).ok_or(format!("unknown allocator {allocator}"))?;
-    let result = Experiment::new(program, choice)
-        .options(SimOptions {
-            cache_configs: vec![],
-            paging: false,
-            scale: Scale(scale),
-            record_trace: Some(out.into()),
-            ..SimOptions::default()
-        })
-        .run()
+    let bytes = Experiment::new(program, choice)
+        .scale(Scale(scale))
+        .encode_stream()
         .map_err(|e| e.to_string())?;
-    eprintln!(
-        "recorded {} references ({} app, {} metadata) to {out}",
-        result.trace.total_refs(),
-        result.trace.app_refs(),
-        result.trace.meta_refs(),
-    );
+    std::fs::write(out, &bytes).map_err(|e| format!("{out}: {e}"))?;
+    eprintln!("recorded {} bytes to {out}", bytes.len());
     Ok(())
 }
 
-fn open_trace(path: &str) -> Result<trace::TraceReader<BufReader<File>>, String> {
-    let file = File::open(path).map_err(|e| format!("{path}: {e}"))?;
-    trace::TraceReader::new(BufReader::new(file)).map_err(|e| format!("{path}: {e}"))
+/// Reads and fully validates a recorded stream: its size in bytes and
+/// its runs.
+fn load(path: &str) -> Result<(u64, Vec<RefRun>), String> {
+    let bytes = std::fs::read(path).map_err(|e| format!("{path}: {e}"))?;
+    let stream = decode_stream(&bytes, 0).map_err(|e| format!("{path}: {e}"))?;
+    Ok((bytes.len() as u64, stream.runs))
 }
 
 fn info(args: &[String]) -> Result<(), String> {
-    let [path] = args else { return Err("usage: trace-tool info <trace>".into()) };
+    let [path] = args else { return Err("usage: trace-tool info <stream>".into()) };
+    let (bytes, runs) = load(path)?;
     let mut counting = CountingSink::new();
-    let mut reader = open_trace(path)?;
-    let mut n = 0u64;
-    for r in reader.by_ref() {
-        counting.record(r.map_err(|e| e.to_string())?);
-        n += 1;
-    }
-    let bytes = std::fs::metadata(path).map_err(|e| e.to_string())?.len();
+    counting.record_runs(&runs);
     let s = counting.stats();
+    let n = s.total_refs();
     println!(
-        "trace {path}: {n} references, {bytes} bytes ({:.2} B/ref)",
+        "stream {path}: {n} references in {} runs, {bytes} bytes ({:.2} B/ref)",
+        runs.len(),
         bytes as f64 / n.max(1) as f64
     );
     println!(
@@ -141,7 +138,7 @@ fn info(args: &[String]) -> Result<(), String> {
 
 fn replay(args: &[String]) -> Result<(), String> {
     let [path, rest @ ..] = args else {
-        return Err("usage: trace-tool replay <trace> [--cache-kb N]... [--paging] [--three-c] [--victim N]".into());
+        return Err("usage: trace-tool replay <stream> [--cache-kb N]... [--paging] [--three-c] [--victim N]".into());
     };
     let mut cache_kbs: Vec<u32> = Vec::new();
     let mut paging = false;
@@ -150,9 +147,19 @@ fn replay(args: &[String]) -> Result<(), String> {
     let mut it = rest.iter();
     while let Some(a) = it.next() {
         match a.as_str() {
-            "--cache-kb" => cache_kbs.push(
-                it.next().ok_or("--cache-kb needs a value")?.parse().map_err(|e| format!("{e}"))?,
-            ),
+            "--cache-kb" => {
+                let kb: u32 = it
+                    .next()
+                    .ok_or("--cache-kb needs a value")?
+                    .parse()
+                    .map_err(|e| format!("bad cache size: {e}"))?;
+                if kb == 0 || kb > MAX_CACHE_KB || !kb.is_power_of_two() {
+                    return Err(format!(
+                        "cache size {kb}K is not a power of two in 1..={MAX_CACHE_KB}"
+                    ));
+                }
+                cache_kbs.push(kb);
+            }
             "--paging" => paging = true,
             "--three-c" => three_c = true,
             "--victim" => {
@@ -160,7 +167,7 @@ fn replay(args: &[String]) -> Result<(), String> {
                     it.next()
                         .ok_or("--victim needs a value")?
                         .parse()
-                        .map_err(|e| format!("{e}"))?,
+                        .map_err(|e| format!("bad victim entries: {e}"))?,
                 )
             }
             other => return Err(format!("unknown flag {other}")),
@@ -171,27 +178,30 @@ fn replay(args: &[String]) -> Result<(), String> {
     }
     let configs: Vec<CacheConfig> =
         cache_kbs.iter().map(|&kb| CacheConfig::direct_mapped(kb * 1024, 32)).collect();
+    if let Some(n) = victim {
+        // A victim buffer larger than the cache it backs is meaningless,
+        // and the bound keeps its allocation proportional to the cache.
+        let lines = configs[0].lines() as usize;
+        if n == 0 || n > lines {
+            return Err(format!("victim entries {n} not in 1..={lines} (lines of {})", configs[0]));
+        }
+    }
+    let (_, runs) = load(path)?;
     let mut bank = CacheBank::new(configs.iter().copied());
+    bank.record_runs(&runs);
     let mut pager = paging.then(StackSim::paper);
     let mut analyzer = three_c.then(|| ThreeCAnalyzer::new(configs[0]));
     let mut vcache = victim.map(|n| VictimCache::new(configs[0], n));
-
-    let mut reader = open_trace(path)?;
-    let mut n = 0u64;
-    for r in reader.by_ref() {
-        let r: MemRef = r.map_err(|e| e.to_string())?;
-        bank.record(r);
-        if let Some(p) = &mut pager {
-            p.record(r);
-        }
-        if let Some(a) = &mut analyzer {
-            a.access(r);
-        }
-        if let Some(v) = &mut vcache {
-            v.access(r);
-        }
-        n += 1;
+    if let Some(p) = &mut pager {
+        p.record_runs(&runs);
     }
+    if let Some(a) = &mut analyzer {
+        a.record_runs(&runs);
+    }
+    if let Some(v) = &mut vcache {
+        v.record_runs(&runs);
+    }
+    let n: u64 = runs.iter().map(|run| u64::from(run.count)).sum();
     println!("replayed {n} references from {path}");
     for (cfg, stats) in bank.results() {
         println!(
@@ -240,13 +250,7 @@ fn export(args: &[String]) -> Result<(), String> {
     let mut it = rest.iter();
     while let Some(a) = it.next() {
         match a.as_str() {
-            "--scale" => {
-                scale = it
-                    .next()
-                    .ok_or("--scale needs a value")?
-                    .parse()
-                    .map_err(|e| format!("bad scale: {e}"))?;
-            }
+            "--scale" => scale = parse_scale(it.next())?,
             other => return Err(format!("unknown flag {other}")),
         }
     }

@@ -46,7 +46,7 @@ pub const PROFILE_SAMPLES: u64 = 20_000;
 /// How one run delivers its reference stream to the measurement sinks.
 ///
 /// Every consumer of the stream — each simulated cache, the pager, the
-/// extension analyzers, the trace writer — is independent of the others,
+/// extension analyzers — is independent of the others,
 /// so the same batched stream can be replayed into them serially or
 /// concurrently. Both modes produce **bit-identical** [`RunResult`]s;
 /// the only difference is wall-clock time.
@@ -63,39 +63,20 @@ pub enum PipelineMode {
     Sharded,
 }
 
-/// How the cache configurations of a run are simulated.
-///
-/// Both paths produce **bit-identical** [`RunResult::cache`] entries;
-/// the sweep is simply one walk over the stream instead of one per
-/// configuration (see [`cache_sim::SweepCache`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
-pub enum CacheEngine {
-    /// Single-pass [`SweepCache`] when the configurations share the
-    /// sweep structure (all direct-mapped, one block size — the paper's
-    /// setup); falls back to per-cache simulation otherwise.
-    #[default]
-    Sweep,
-    /// One independent [`Cache`] per configuration, unconditionally.
-    /// Kept as the reference implementation the sweep is benchmarked
-    /// and equivalence-tested against.
-    PerCache,
-}
-
 /// Simulation options for one run.
 #[derive(Debug, Clone)]
 pub struct SimOptions {
-    /// Cache configurations simulated in one pass (empty to skip).
+    /// Cache configurations simulated in one pass (empty to skip):
+    /// one single-pass [`SweepCache`] when they share its structure
+    /// (all direct-mapped, one block size — the paper's setup), one
+    /// independent [`Cache`] each otherwise.
     pub cache_configs: Vec<CacheConfig>,
-    /// How those configurations are simulated (see [`CacheEngine`]).
-    pub cache_engine: CacheEngine,
     /// Whether to run the LRU stack-distance pager.
     pub paging: bool,
     /// Workload scale.
     pub scale: Scale,
     /// Simulated heap ceiling in bytes.
     pub heap_limit: u64,
-    /// Record the full reference stream to this file (ALTR format).
-    pub record_trace: Option<std::path::PathBuf>,
     /// Attach a victim buffer of this many entries to the first cache
     /// configuration (Jouppi's conflict-miss remedy; extension study).
     pub victim_entries: Option<usize>,
@@ -138,11 +119,9 @@ impl Default for SimOptions {
     fn default() -> Self {
         SimOptions {
             cache_configs: CacheConfig::paper_sweep(),
-            cache_engine: CacheEngine::default(),
             paging: true,
             scale: DEFAULT_SCALE,
             heap_limit: sim_mem::heap::DEFAULT_LIMIT,
-            record_trace: None,
             victim_entries: None,
             three_c: false,
             two_level: false,
@@ -489,7 +468,7 @@ pub const BATCH_CHANNEL_DEPTH: usize = 8;
 /// shares no state with its peers, so each can be boxed into a shard and
 /// placed on whichever thread the [`PipelineMode`] dictates. Shards are
 /// kept in a canonical order (caches in configuration order, then pager,
-/// tracer, victim, three-C, two-level) so results can be reassembled
+/// victim, three-C, two-level) so results can be reassembled
 /// identically however the shards were distributed.
 enum SinkShard {
     /// All cache configurations in one single-pass sweep (one shard).
@@ -497,7 +476,6 @@ enum SinkShard {
     /// One cache configuration simulated independently.
     Cache(Cache),
     Pager(Box<StackSim>),
-    Tracer(trace::TraceWriter<std::io::BufWriter<std::fs::File>>),
     Victim(VictimCache),
     ThreeC(ThreeCAnalyzer),
     TwoLevel(TwoLevelCache),
@@ -505,14 +483,12 @@ enum SinkShard {
 
 impl SinkShard {
     /// Stable metric label for this shard kind; per-shard consume time
-    /// is accumulated under `span:<label>` (so the sweep engine and the
-    /// per-cache engine are directly comparable per run).
+    /// is accumulated under `span:<label>`.
     fn label(&self) -> &'static str {
         match self {
             SinkShard::Sweep(_) => "sink.sweep",
             SinkShard::Cache(_) => "sink.cache",
             SinkShard::Pager(_) => "sink.pager",
-            SinkShard::Tracer(_) => "sink.tracer",
             SinkShard::Victim(_) => "sink.victim",
             SinkShard::ThreeC(_) => "sink.three_c",
             SinkShard::TwoLevel(_) => "sink.two_level",
@@ -538,7 +514,6 @@ impl AccessSink for SinkShard {
             SinkShard::Sweep(s) => s.record(r),
             SinkShard::Cache(s) => s.record(r),
             SinkShard::Pager(s) => s.record(r),
-            SinkShard::Tracer(s) => s.record(r),
             SinkShard::Victim(s) => s.record(r),
             SinkShard::ThreeC(s) => s.record(r),
             SinkShard::TwoLevel(s) => s.record(r),
@@ -550,7 +525,6 @@ impl AccessSink for SinkShard {
             SinkShard::Sweep(s) => s.record_batch(batch),
             SinkShard::Cache(s) => s.record_batch(batch),
             SinkShard::Pager(s) => s.record_batch(batch),
-            SinkShard::Tracer(s) => s.record_batch(batch),
             SinkShard::Victim(s) => s.record_batch(batch),
             SinkShard::ThreeC(s) => s.record_batch(batch),
             SinkShard::TwoLevel(s) => s.record_batch(batch),
@@ -562,7 +536,6 @@ impl AccessSink for SinkShard {
             SinkShard::Sweep(s) => s.record_runs(runs),
             SinkShard::Cache(s) => s.record_runs(runs),
             SinkShard::Pager(s) => s.record_runs(runs),
-            SinkShard::Tracer(s) => s.record_runs(runs),
             SinkShard::Victim(s) => s.record_runs(runs),
             SinkShard::ThreeC(s) => s.record_runs(runs),
             SinkShard::TwoLevel(s) => s.record_runs(runs),
@@ -810,7 +783,7 @@ struct FinalizedShards {
     two_level: Option<TwoLevelStats>,
 }
 
-/// Drains every shard into its result slot (and closes the trace file).
+/// Drains every shard into its result slot.
 fn finalize_shards(shards: Vec<SinkShard>) -> FinalizedShards {
     let mut out = FinalizedShards {
         cache: Vec::new(),
@@ -824,9 +797,6 @@ fn finalize_shards(shards: Vec<SinkShard>) -> FinalizedShards {
             SinkShard::Sweep(s) => out.cache.extend(s.results()),
             SinkShard::Cache(c) => out.cache.push((c.config(), *c.stats())),
             SinkShard::Pager(p) => out.fault_curve = Some(p.curve()),
-            SinkShard::Tracer(t) => {
-                t.finish().expect("finalize trace file");
-            }
             SinkShard::Victim(v) => out.victim = Some(*v.stats()),
             SinkShard::ThreeC(a) => out.three_c = Some(a.classify()),
             SinkShard::TwoLevel(t) => out.two_level = Some(t.stats()),
@@ -995,12 +965,6 @@ impl Experiment {
         self
     }
 
-    /// Selects how the cache configurations are simulated.
-    pub fn cache_engine(mut self, engine: CacheEngine) -> Self {
-        self.opts.cache_engine = engine;
-        self
-    }
-
     /// Enables the persistent stream cache under `dir` (see
     /// [`SimOptions::stream_cache`]).
     pub fn stream_cache(mut self, dir: impl Into<std::path::PathBuf>) -> Self {
@@ -1024,15 +988,10 @@ impl Experiment {
 
     /// Builds the run's sinks in canonical order (see [`SinkShard`]):
     /// caches first — one sweep shard, or per-cache shards in
-    /// configuration order — then pager, tracer, victim, three-C,
-    /// two-level.
+    /// configuration order — then pager, victim, three-C, two-level.
     fn build_shards(&self) -> Vec<SinkShard> {
         let mut shards: Vec<SinkShard> = Vec::new();
-        let sweep = match self.opts.cache_engine {
-            CacheEngine::Sweep => SweepCache::try_new(self.opts.cache_configs.iter().copied()),
-            CacheEngine::PerCache => None,
-        };
-        match sweep {
+        match SweepCache::try_new(self.opts.cache_configs.iter().copied()) {
             Some(sweep) => shards.push(SinkShard::Sweep(sweep)),
             None => shards.extend(
                 self.opts.cache_configs.iter().map(|&cfg| SinkShard::Cache(Cache::new(cfg))),
@@ -1040,11 +999,6 @@ impl Experiment {
         }
         if self.opts.paging {
             shards.push(SinkShard::Pager(Box::new(StackSim::paper())));
-        }
-        if let Some(path) = &self.opts.record_trace {
-            let file = std::fs::File::create(path)
-                .unwrap_or_else(|e| panic!("cannot create trace file {}: {e}", path.display()));
-            shards.push(SinkShard::Tracer(trace::TraceWriter::new(std::io::BufWriter::new(file))));
         }
         let first_cache = self.opts.cache_configs.first().copied();
         if let Some(entries) = self.opts.victim_entries {
@@ -1254,6 +1208,25 @@ impl Experiment {
         Ok(collector.runs)
     }
 
+    /// Drives the workload once and returns its reference stream as an
+    /// ALSC file (content key 0, empty sidecar) — the format
+    /// `trace-tool record` writes and `info`/`replay` read. The bytes
+    /// equal [`sim_mem::encode_stream`] over [`Experiment::capture_runs`],
+    /// but the stream is encoded as the driver flushes it, so only the
+    /// record bytes (a few per run) are ever held.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`EngineError::Alloc`] if the allocator reports an error
+    /// (out of simulated memory, invalid free).
+    pub fn encode_stream(&self) -> Result<Vec<u8>, EngineError> {
+        let mut heap = HeapImage::with_limit(self.opts.heap_limit);
+        let mut instrs = InstrCounter::new();
+        let mut encoder = StreamEncoder::new();
+        self.drive(&mut heap, &mut instrs, &mut encoder, None)?;
+        Ok(encoder.finish(0, b""))
+    }
+
     /// Runs the experiment to completion.
     ///
     /// # Errors
@@ -1369,27 +1342,23 @@ impl Experiment {
         // Stored-result fast path: when the sidecar alone already
         // answers this run (same options fingerprint, finalized result
         // stored), the stream body — routinely hundreds of megabytes —
-        // is never decoded and no sinks are built. Runs recording a
-        // reference trace file always replay instead: the file is a
-        // side effect a stored result cannot reproduce.
-        if self.opts.record_trace.is_none() {
-            if let SidecarLookup::Hit(bytes) = cache.load_sidecar(key) {
-                if let Ok(sidecar) = std::str::from_utf8(&bytes)
-                    .map_err(|_| ())
-                    .and_then(|text| serde_json::from_str::<StreamSidecar>(text).map_err(|_| ()))
-                {
-                    if sidecar.options_fp == self.options_fingerprint() {
-                        if let Some(result) = sidecar.result {
-                            if let Some(rec) = Self::reborrow(&mut recorder) {
-                                rec.add("stream_cache.hit", 1);
-                                rec.add("stream_cache.result_fastpath", 1);
-                                rec.span_exit();
-                            }
-                            return Ok(RunOutcome {
-                                result,
-                                replay_metrics: need_metrics.then_some(sidecar.metrics),
-                            });
+        // is never decoded and no sinks are built.
+        if let SidecarLookup::Hit(bytes) = cache.load_sidecar(key) {
+            if let Ok(sidecar) = std::str::from_utf8(&bytes)
+                .map_err(|_| ())
+                .and_then(|text| serde_json::from_str::<StreamSidecar>(text).map_err(|_| ()))
+            {
+                if sidecar.options_fp == self.options_fingerprint() {
+                    if let Some(result) = sidecar.result {
+                        if let Some(rec) = Self::reborrow(&mut recorder) {
+                            rec.add("stream_cache.hit", 1);
+                            rec.add("stream_cache.result_fastpath", 1);
+                            rec.span_exit();
                         }
+                        return Ok(RunOutcome {
+                            result,
+                            replay_metrics: need_metrics.then_some(sidecar.metrics),
+                        });
                     }
                 }
             }
@@ -1477,16 +1446,14 @@ impl Experiment {
     fn options_fingerprint(&self) -> u64 {
         let o = &self.opts;
         let desc = format!(
-            "{}|{:?}|{:?}|{}|{}|{:?}|{}|{}|{:?}|{}",
+            "{}|{:?}|{}|{:?}|{}|{}|{:?}|{}",
             // The allocator choice label spells out every tuning knob
             // (split threshold, fast-list bound, rounding classes, ...),
             // so sidecar metrics recorded for one configuration can
             // never be reported for another.
             self.choice.label(),
             o.cache_configs,
-            o.cache_engine,
             o.paging,
-            o.record_trace.is_some(),
             o.victim_entries,
             o.three_c,
             o.two_level,

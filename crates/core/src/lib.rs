@@ -47,8 +47,8 @@ pub mod run_report;
 pub use engine::{
     default_threads, profile_from_events, run_parallel, run_parallel_instrumented,
     run_parallel_progress, run_parallel_traced, run_parallel_with, sample_profile, standard_matrix,
-    standard_matrix_with, AllocChoice, CacheEngine, EngineError, Experiment, FragSample, Matrix,
-    PipelineMode, RunResult, SimOptions, WorkloadSource,
+    standard_matrix_with, AllocChoice, EngineError, Experiment, FragSample, Matrix, PipelineMode,
+    RunResult, SimOptions, WorkloadSource,
 };
 pub use job_spec::{AllocConfig, JobSpec, SpecError};
 pub use model::{estimated_cycles, estimated_seconds, CLOCK_HZ, MISS_PENALTY_CYCLES};

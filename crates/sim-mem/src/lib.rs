@@ -47,8 +47,7 @@ pub mod stream;
 pub mod varint;
 
 pub use access::{
-    AccessClass, AccessKind, CountingSink, FanoutSink, MemRef, NullSink, RefRun, TraceStats,
-    VecSink,
+    AccessClass, AccessKind, CountingSink, MemRef, NullSink, RefRun, TraceStats, VecSink,
 };
 pub use addr::{Address, WORD};
 pub use cost::{InstrCounter, Phase};

@@ -60,7 +60,7 @@ use std::io::Write as _;
 use std::path::{Path, PathBuf};
 
 use crate::varint;
-use crate::{AccessClass, AccessKind, Address, MemRef, RefRun};
+use crate::{AccessClass, AccessKind, AccessSink, Address, MemRef, RefRun};
 
 /// File magic of a serialized stream.
 pub const STREAM_MAGIC: [u8; 4] = *b"ALSC";
@@ -183,7 +183,7 @@ const FLAG_KNOWN: u8 = FLAG_WRITE | FLAG_META | FLAG_SIZED | FLAG_REPEATED;
 /// and the file is assembled once, at [`StreamEncoder::finish`], so a
 /// populating run never holds its stream as [`RefRun`]s.
 ///
-/// Only the record bytes are buffered (about 2.5 B per run against a
+/// Only the record bytes are buffered (about 3.5 B per run against a
 /// `RefRun`'s 24 B): the header's run and reference counts precede the
 /// records, so they are written when the stream is complete. Adjacent
 /// identical runs merge across push boundaries, so the bytes depend
@@ -250,6 +250,18 @@ impl StreamEncoder {
         check.write(&out[HEADER_LEN..]);
         out.extend_from_slice(&check.finish().to_le_bytes());
         out
+    }
+}
+
+/// An encoder is itself a sink, so a workload can be driven straight
+/// into it.
+impl AccessSink for StreamEncoder {
+    fn record(&mut self, r: MemRef) {
+        self.push_runs(&[RefRun::once(r)]);
+    }
+
+    fn record_runs(&mut self, runs: &[RefRun]) {
+        self.push_runs(runs);
     }
 }
 

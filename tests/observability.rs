@@ -2,28 +2,43 @@
 //!
 //! 1. **Recording observes, it never participates.** Attaching any
 //!    recorder must leave the [`RunResult`] bit-identical to a
-//!    recorder-free run, in both pipeline modes and under both cache
-//!    engines.
+//!    recorder-free run, in both pipeline modes and whether the caches
+//!    run as one sweep shard or as per-cache shards.
 //! 2. **The JSONL report schema is stable.** A [`RunReport`] emitted by
 //!    an instrumented run round-trips through its JSONL encoding and
 //!    passes its own validation.
 
 use alloc_locality::RunReport;
-use alloc_locality_repro::engine::{
-    AllocChoice, CacheEngine, Experiment, PipelineMode, SimOptions,
-};
+use alloc_locality_repro::engine::{AllocChoice, Experiment, PipelineMode, SimOptions};
 use allocators::AllocatorKind;
 use cache_sim::CacheConfig;
 use obs::NullRecorder;
 use workloads::{Program, Scale};
 
-/// The heavy configuration: full paper sweep, pager, victim buffer,
+/// Two cache lists, one per cache shard kind, each with the metric
+/// label of the shards it builds: the paper sweep runs as one `Sweep`
+/// shard; a set-associative member forces one `Cache` shard per
+/// configuration. The first configuration backs the victim buffer, so
+/// it stays direct-mapped.
+fn cache_lists() -> [(&'static str, Vec<CacheConfig>); 2] {
+    [
+        ("sink.sweep", CacheConfig::paper_sweep()),
+        (
+            "sink.cache",
+            vec![
+                CacheConfig::direct_mapped(16 * 1024, 32),
+                CacheConfig::set_associative(64 * 1024, 32, 2),
+            ],
+        ),
+    ]
+}
+
+/// The heavy configuration: the given caches, pager, victim buffer,
 /// three-C analyzer, two-level hierarchy, fragmentation sampling — every
 /// shard kind the engine can instrument.
-fn full_opts(engine: CacheEngine) -> SimOptions {
+fn full_opts(caches: Vec<CacheConfig>) -> SimOptions {
     SimOptions {
-        cache_configs: CacheConfig::paper_sweep(),
-        cache_engine: engine,
+        cache_configs: caches,
         paging: true,
         victim_entries: Some(8),
         three_c: true,
@@ -34,17 +49,17 @@ fn full_opts(engine: CacheEngine) -> SimOptions {
     }
 }
 
-fn experiment(engine: CacheEngine, mode: PipelineMode) -> Experiment {
+fn experiment(caches: Vec<CacheConfig>, mode: PipelineMode) -> Experiment {
     Experiment::new(Program::Espresso, AllocChoice::Paper(AllocatorKind::FirstFit))
-        .options(full_opts(engine))
+        .options(full_opts(caches))
         .pipeline(mode)
 }
 
 #[test]
 fn recording_is_invisible_in_every_engine_and_pipeline_mode() {
-    for engine in [CacheEngine::PerCache, CacheEngine::Sweep] {
+    for (engine, caches) in cache_lists() {
         for mode in [PipelineMode::Inline, PipelineMode::Sharded] {
-            let exp = experiment(engine, mode);
+            let exp = experiment(caches.clone(), mode);
             let plain = exp.run().expect("plain run");
 
             let mut null = NullRecorder;
@@ -71,6 +86,10 @@ fn recording_is_invisible_in_every_engine_and_pipeline_mode() {
             assert!(metrics.counter("ctx.flush.batches") > 0);
             assert!(metrics.counter("alloc.tag_writes") > 0, "FirstFit writes boundary tags");
             assert!(metrics.span("engine.drive").is_some(), "drive phase was timed");
+            assert!(
+                metrics.counters.contains_key(&format!("{engine}.fastpath_refs")),
+                "the caches ran as {engine} shards under {mode:?}"
+            );
             if mode == PipelineMode::Sharded {
                 assert!(metrics.counter("pipeline.workers") > 0);
                 assert!(metrics.span("pipeline.worker_busy").is_some());
@@ -118,7 +137,7 @@ fn allocator_engine_counters_surface_through_the_recorder() {
     // per-malloc samples add up to FirstFit's freelist visits; the
     // per-free samples count every merge but those made when a heap
     // extension joins the free block before it.
-    let (result, metrics) = experiment(CacheEngine::Sweep, PipelineMode::Inline)
+    let (result, metrics) = experiment(CacheConfig::paper_sweep(), PipelineMode::Inline)
         .run_instrumented()
         .expect("instrumented run");
     assert_eq!(
@@ -159,9 +178,9 @@ fn tracing_is_invisible_in_every_engine_and_pipeline_mode() {
     // inherits contract 1: a traced run must produce bit-identical
     // results — and, since the tracer embeds a MemoryRecorder, the same
     // flat metrics an instrumented run yields.
-    for engine in [CacheEngine::PerCache, CacheEngine::Sweep] {
+    for (engine, caches) in cache_lists() {
         for mode in [PipelineMode::Inline, PipelineMode::Sharded] {
-            let exp = experiment(engine, mode);
+            let exp = experiment(caches.clone(), mode);
             let plain = exp.run().expect("plain run");
             let (_, plain_metrics) = exp.run_instrumented().expect("instrumented run");
 
@@ -223,8 +242,9 @@ fn tracing_is_invisible_in_every_engine_and_pipeline_mode() {
 
 #[test]
 fn run_report_round_trips_through_jsonl() {
-    let report =
-        experiment(CacheEngine::Sweep, PipelineMode::Inline).report().expect("instrumented run");
+    let report = experiment(CacheConfig::paper_sweep(), PipelineMode::Inline)
+        .report()
+        .expect("instrumented run");
     report.validate().expect("fresh report validates");
 
     let line = report.to_jsonl_line();

@@ -113,23 +113,18 @@ fn full_pipeline_is_deterministic() {
 fn sharded_pipeline_matches_inline_bit_for_bit() {
     // Acceptance criterion for the batched pipeline: fanning the
     // reference stream out to worker threads (PipelineMode::Sharded)
-    // must leave every measurement — including the recorded trace
-    // file — bit-identical to the single-threaded inline pass. Every
-    // shard kind is attached: two caches, the pager, a trace writer,
+    // must leave every measurement bit-identical to the single-threaded
+    // inline pass. Every shard kind is attached: two caches, the pager,
     // a victim buffer, the three-C analyzer, the two-level hierarchy,
     // and fragmentation sampling.
     use alloc_locality_repro::engine::PipelineMode;
 
-    let dir = std::env::temp_dir();
-    let trace_for =
-        |mode: &str| dir.join(format!("pipeline-eq-{}-{mode}.altr", std::process::id()));
-    let run = |mode: PipelineMode, trace: std::path::PathBuf| {
+    let run = |mode: PipelineMode| {
         let opts = SimOptions {
             victim_entries: Some(8),
             three_c: true,
             two_level: true,
             frag_sample_every: 64,
-            record_trace: Some(trace),
             ..quick_opts(0.005)
         };
         Experiment::new(Program::Espresso, AllocChoice::Paper(AllocatorKind::FirstFit))
@@ -139,10 +134,8 @@ fn sharded_pipeline_matches_inline_bit_for_bit() {
             .expect("runs")
     };
 
-    let inline_trace = trace_for("inline");
-    let sharded_trace = trace_for("sharded");
-    let a = run(PipelineMode::Inline, inline_trace.clone());
-    let b = run(PipelineMode::Sharded, sharded_trace.clone());
+    let a = run(PipelineMode::Inline);
+    let b = run(PipelineMode::Sharded);
 
     assert_eq!(a.instrs, b.instrs);
     assert_eq!(a.trace, b.trace);
@@ -154,28 +147,22 @@ fn sharded_pipeline_matches_inline_bit_for_bit() {
     assert_eq!(a.frag_curve, b.frag_curve);
     assert_eq!(a.heap_high_water, b.heap_high_water);
     assert_eq!(a.alloc_stats, b.alloc_stats);
-
-    let inline_bytes = std::fs::read(&inline_trace).expect("inline trace written");
-    let sharded_bytes = std::fs::read(&sharded_trace).expect("sharded trace written");
-    assert!(!inline_bytes.is_empty());
-    assert_eq!(inline_bytes, sharded_bytes, "trace files must be byte-identical");
-    let _ = std::fs::remove_file(inline_trace);
-    let _ = std::fs::remove_file(sharded_trace);
 }
 
 #[test]
 fn sweep_engine_matches_per_cache_bit_for_bit() {
-    // Acceptance criterion for the single-pass sweep: simulating the
-    // paper's five configurations in one walk (CacheEngine::Sweep) must
-    // leave every measurement bit-identical to the per-cache bank
-    // (CacheEngine::PerCache), in both pipeline modes, with every other
-    // shard kind attached and unaffected.
-    use alloc_locality_repro::engine::{CacheEngine, PipelineMode};
+    // Acceptance criterion for the single-pass sweep: the engine
+    // simulates the paper's five configurations in one walk (one
+    // SweepCache shard), and its cache stats must equal those of an
+    // independent per-cache CacheBank fed the same captured stream, in
+    // both pipeline modes, with every other shard kind attached.
+    use alloc_locality_repro::engine::PipelineMode;
+    use cache_sim::CacheBank;
+    use sim_mem::AccessSink;
 
-    let run = |engine: CacheEngine, mode: PipelineMode| {
+    let exp = |mode: PipelineMode| {
         let opts = SimOptions {
             cache_configs: CacheConfig::paper_sweep(),
-            cache_engine: engine,
             victim_entries: Some(8),
             three_c: true,
             two_level: true,
@@ -185,24 +172,15 @@ fn sweep_engine_matches_per_cache_bit_for_bit() {
         Experiment::new(Program::Espresso, AllocChoice::Paper(AllocatorKind::FirstFit))
             .options(opts)
             .pipeline(mode)
-            .run()
-            .expect("runs")
     };
 
-    let reference = run(CacheEngine::PerCache, PipelineMode::Inline);
-    assert_eq!(reference.cache.len(), 5);
+    let mut bank = CacheBank::new(CacheConfig::paper_sweep());
+    bank.record_runs(&exp(PipelineMode::Inline).capture_runs().expect("capture"));
+    let reference = bank.results();
+    assert_eq!(reference.len(), 5);
     for mode in [PipelineMode::Inline, PipelineMode::Sharded] {
-        let sweep = run(CacheEngine::Sweep, mode);
-        assert_eq!(sweep.instrs, reference.instrs);
-        assert_eq!(sweep.trace, reference.trace);
-        assert_eq!(sweep.cache, reference.cache, "cache stats diverged under {mode:?}");
-        assert_eq!(sweep.fault_curve, reference.fault_curve);
-        assert_eq!(sweep.victim, reference.victim);
-        assert_eq!(sweep.three_c, reference.three_c);
-        assert_eq!(sweep.two_level, reference.two_level);
-        assert_eq!(sweep.frag_curve, reference.frag_curve);
-        assert_eq!(sweep.heap_high_water, reference.heap_high_water);
-        assert_eq!(sweep.alloc_stats, reference.alloc_stats);
+        let sweep = exp(mode).run().expect("runs");
+        assert_eq!(sweep.cache, reference, "cache stats diverged under {mode:?}");
     }
 }
 

@@ -212,35 +212,3 @@ fn corrupt_cache_files_fall_back_to_cold_generation() {
 
     let _ = std::fs::remove_dir_all(&dir);
 }
-
-#[test]
-fn replayed_trace_files_are_byte_identical() {
-    // The tracer is rebuilt on replay and fed the decoded stream; the
-    // ALTR file it writes must match the generated run's byte for byte.
-    let dir = cache_dir("tracefile");
-    let trace_cold = dir.join("cold.altr");
-    let trace_warm = dir.join("warm.altr");
-    std::fs::create_dir_all(&dir).expect("create test dir");
-
-    let mut cold_opts = opts(&dir, PipelineMode::Inline);
-    cold_opts.record_trace = Some(trace_cold.clone());
-    Experiment::new(Program::Ptc, AllocChoice::Paper(AllocatorKind::FirstFit))
-        .options(cold_opts)
-        .run()
-        .expect("cold traced run");
-
-    let mut warm_opts = opts(&dir, PipelineMode::Inline);
-    warm_opts.record_trace = Some(trace_warm.clone());
-    let mut rec = MemoryRecorder::new();
-    Experiment::new(Program::Ptc, AllocChoice::Paper(AllocatorKind::FirstFit))
-        .options(warm_opts)
-        .run_with_recorder(&mut rec)
-        .expect("warm traced run");
-    assert_eq!(rec.counter("stream_cache.hit"), 1, "second traced run must replay");
-
-    let cold_bytes = std::fs::read(&trace_cold).expect("cold trace");
-    let warm_bytes = std::fs::read(&trace_warm).expect("warm trace");
-    assert_eq!(cold_bytes, warm_bytes, "replayed trace file diverged");
-
-    let _ = std::fs::remove_dir_all(&dir);
-}
